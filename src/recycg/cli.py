@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,7 +61,6 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0])
     output_dir: Path = Path("out")
     count: int = 40
-    save_traces: bool = False
 
     @classmethod
     def from_file(cls, path):
@@ -101,8 +99,7 @@ class ExperimentConfig:
                        max_iters=int(raw.get("max_iters", 2000)),
                        seeds=[int(s) for s in raw.get("seeds", [0])],
                        output_dir=Path(raw.get("output_dir", "out")),
-                       count=int(raw.get("count", raw["problem"].get("count", 40))),
-                       save_traces=bool(raw.get("save_traces", False)))
+                       count=int(raw.get("count", raw["problem"].get("count", 40))))
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from exc
 
@@ -244,20 +241,15 @@ def _write_outputs(config, results, out_dir):
     return summary
 
 
-def cli_run(config_path, out=None, jobs=1):
+def cli_run(config_path, out=None):
     """Run the full experiment grid; returns a process exit status."""
     config = ExperimentConfig.from_file(config_path)
     out_dir = Path(out) if out else config.output_dir
-    tasks = [(name, strategy, precond, tol, seed)
-             for (name, strategy) in zip(config.strategy_names, config.strategies)
-             for precond in config.preconditioners
-             for tol in config.tolerances
-             for seed in config.seeds]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _run_one(config, *t), tasks))
-    else:
-        results = [_run_one(config, *task) for task in tasks]
+    results = [_run_one(config, name, strategy, precond, tol, seed)
+               for (name, strategy) in zip(config.strategy_names, config.strategies)
+               for precond in config.preconditioners
+               for tol in config.tolerances
+               for seed in config.seeds]
     summary = _write_outputs(config, results, out_dir)
     ok = all(entry["all_converged"] for entry in summary.values())
     return 0 if ok else 1
@@ -343,7 +335,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run an experiment grid")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
 
     p_inspect = sub.add_parser("inspect", help="inspect a trace or report artifact")
     p_inspect.add_argument("artifact")
@@ -355,7 +346,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cli_run(args.config, args.out, args.jobs)
+            return cli_run(args.config, args.out)
         if args.command == "inspect":
             return cli_inspect(args.artifact)
         return cli_gen(args.spec, args.out)

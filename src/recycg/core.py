@@ -2,9 +2,10 @@
 Shared dense and sparse linear-algebra kernels.
 
 Everything else in the package is built on the few primitives defined here:
-a CSR container for symmetric positive definite operators, a small dense
-Cholesky with explicit rank reporting, and symmetric eigensolvers (tridiagonal
-and full) that return sorted, orthonormal decompositions.
+a CSR container for symmetric positive definite operators (applied with
+``A @ x``), a LAPACK dense Cholesky with explicit rank reporting, and
+symmetric eigensolvers (tridiagonal and full) that return sorted, orthonormal
+decompositions.
 """
 from __future__ import annotations
 
@@ -35,9 +36,9 @@ class NumericalFailure(RuntimeError):
 class SparseSpdMatrix:
     """Symmetric positive definite operator in CSR form (full pattern stored).
 
-    Invariants checked at construction: structural symmetry with equal
-    values, strictly positive diagonal present in every row, nondecreasing
-    row offsets and sorted column indices.
+    Invariants checked at construction: finite values, structural symmetry
+    with equal values, strictly positive diagonal present in every row,
+    nondecreasing row offsets and sorted column indices.
     """
 
     n: int
@@ -57,6 +58,8 @@ class SparseSpdMatrix:
             raise ContractViolation("inconsistent CSR arrays")
         if np.any(np.diff(ro) < 0):
             raise ContractViolation("row_offsets must be nondecreasing")
+        if not np.all(np.isfinite(va)):
+            raise ContractViolation("matrix values must be finite")
         csr = scipy.sparse.csr_matrix((va, ci, ro), shape=(self.n, self.n))
         # sorted-within-row check: differences are positive except at row starts
         if len(ci) > 0:
@@ -109,14 +112,6 @@ class SparseSpdMatrix:
 
     def __matmul__(self, other):
         return self._csr @ np.asarray(other, dtype=np.float64)
-
-
-def spmv(A: SparseSpdMatrix, x):
-    """Sparse matrix-vector product ``A @ x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n,):
-        raise ContractViolation(f"vector length {x.shape} does not match n={A.n}")
-    return A @ x
 
 
 @dataclass(frozen=True)
@@ -195,6 +190,9 @@ def dense_sym_eig(G) -> EigDecomposition:
 def dense_cholesky(G, pivot_rtol=0.0):
     """Lower Cholesky factor of a dense symmetric positive definite matrix.
 
+    One LAPACK ``potrf`` call for every size; the pivot guard is applied to
+    the computed pivots afterwards.
+
     Parameters
     ----------
     G : array_like
@@ -206,8 +204,8 @@ def dense_cholesky(G, pivot_rtol=0.0):
     Raises
     ------
     RankDeficient
-        On a non-positive (or guarded) pivot; carries the offending column
-        index so the caller can drop dependent columns.
+        On a non-positive, non-finite or guarded pivot; carries the offending
+        column index so the caller can drop dependent columns.
     """
     G = np.asarray(G, dtype=np.float64)
     n = G.shape[0]
@@ -216,28 +214,15 @@ def dense_cholesky(G, pivot_rtol=0.0):
     scale = np.linalg.norm(G)
     if scale > 0 and np.linalg.norm(G - G.T) > 1e-12 * scale:
         raise ContractViolation("input is not symmetric")
-    if n > 32:
-        # LAPACK fast path; fall back to the explicit loop only to locate the
-        # offending column when factorization or the pivot guard fails.
-        try:
-            L = scipy.linalg.cholesky(G, lower=True, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
-            L = None
-        if L is not None:
-            d = np.diag(L) ** 2
-            prev_max = np.concatenate(([0.0], np.maximum.accumulate(d)[:-1]))
-            bad = ~np.isfinite(d) | (d <= prev_max * pivot_rtol) | (d <= 0.0)
-            if not np.any(bad):
-                return L
-            raise RankDeficient(int(np.argmax(bad)))
-    L = np.zeros_like(G)
-    largest_pivot = 0.0
-    for j in range(n):
-        d = G[j, j] - L[j, :j] @ L[j, :j]
-        if d <= largest_pivot * pivot_rtol or d <= 0.0 or not np.isfinite(d):
-            raise RankDeficient(j)
-        largest_pivot = max(largest_pivot, d)
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (G[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    # LAPACK stops at the first non-positive pivot and reports its column as
+    # info - 1; the columns after it are left unfactored.  It lets NaN pivots
+    # through, so the factor is checked for finiteness here.
+    L, info = scipy.linalg.lapack.dpotrf(G, lower=1, clean=1)
+    d = np.diag(L) ** 2
+    prev_max = np.concatenate(([0.0], np.maximum.accumulate(d)[:-1]))
+    bad = ~np.isfinite(L).all(axis=0) | (d <= prev_max * pivot_rtol) | (d <= 0.0)
+    if info > 0:
+        bad[info - 1] = True
+    if np.any(bad):
+        raise RankDeficient(int(np.argmax(bad)))
     return L

@@ -157,15 +157,6 @@ def test_run_overlap_diagnostic_for_srks_pair(tmp_path):
     assert all(-1e-9 <= v <= np.sqrt(2.0) + 1e-9 for v in values)
 
 
-def test_run_parallel_matches_serial(tmp_path):
-    config = write_config(tmp_path)
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    cli_run(config, out=out1, jobs=1)
-    cli_run(config, out=out2, jobs=2)
-    assert strip_timing((out1 / "runs.csv").read_text()) == \
-        strip_timing((out2 / "runs.csv").read_text())
-
-
 # ---------------------------------------------------------------------------
 # cli_inspect
 

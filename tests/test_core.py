@@ -4,7 +4,7 @@ import pytest
 
 from recycg import (ContractViolation, EigDecomposition, RankDeficient,
                     SparseSpdMatrix, TridiagSym, dense_cholesky,
-                    dense_sym_eig, spmv, tridiag_eig)
+                    dense_sym_eig, tridiag_eig)
 from conftest import random_spd
 
 
@@ -64,31 +64,38 @@ def test_rejects_inconsistent_offsets():
         SparseSpdMatrix(2, np.array([0, 1]), np.array([0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rejects_nonfinite_values(bad):
+    for dense in (np.diag([1.0, bad]), np.array([[2.0, bad], [bad, 2.0]])):
+        with pytest.raises(ContractViolation, match="finite"):
+            SparseSpdMatrix.from_dense(dense)
+
+
 # ---------------------------------------------------------------------------
-# spmv
+# spmv (A @ x)
 
 
 def test_spmv_identity():
     A = SparseSpdMatrix.from_dense(np.eye(3))
-    np.testing.assert_array_equal(spmv(A, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(A @ [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 def test_spmv_diagonal():
     A = SparseSpdMatrix.from_dense(np.diag([2.0, 3.0]))
-    np.testing.assert_array_equal(spmv(A, [1.0, 1.0]), [2.0, 3.0])
+    np.testing.assert_array_equal(A @ [1.0, 1.0], [2.0, 3.0])
 
 
 def test_spmv_laplacian_stencil():
     lap = (2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1))
     A = SparseSpdMatrix.from_dense(lap)
-    np.testing.assert_array_equal(spmv(A, [1.0, 0.0, 0.0, 0.0]),
+    np.testing.assert_array_equal(A @ [1.0, 0.0, 0.0, 0.0],
                                   [2.0, -1.0, 0.0, 0.0])
 
 
 def test_spmv_dimension_mismatch():
     A = SparseSpdMatrix.from_dense(np.eye(3))
-    with pytest.raises(ContractViolation):
-        spmv(A, np.ones(4))
+    with pytest.raises(ValueError):
+        A @ np.ones(4)
 
 
 def test_spmv_symmetry_bilinear(rng):
@@ -103,6 +110,10 @@ def test_spmv_symmetry_bilinear(rng):
 
 def test_cholesky_identity():
     np.testing.assert_allclose(dense_cholesky(np.eye(2)), np.eye(2))
+
+
+def test_cholesky_empty():
+    assert dense_cholesky(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_cholesky_2x2():
@@ -126,11 +137,9 @@ def test_cholesky_reassembly(rng):
 
 
 def test_cholesky_large_matches_small_path(rng):
-    # the n > 32 fast path must agree with the explicit pivot loop
+    # the factor at a size beyond the small cases above agrees with numpy's
     G = random_spd(40, rng)
-    L_fast = dense_cholesky(G)
-    L_slow = np.linalg.cholesky(G)
-    np.testing.assert_allclose(L_fast, L_slow, rtol=1e-10)
+    np.testing.assert_allclose(dense_cholesky(G), np.linalg.cholesky(G), rtol=1e-10)
 
 
 def test_cholesky_rank_deficient_large_reports_column(rng):
@@ -141,9 +150,13 @@ def test_cholesky_rank_deficient_large_reports_column(rng):
     B = np.linalg.cholesky(G)
     B[:, 20] = B[:, 5] + 2.0 * B[:, 7]
     G2 = B @ B.T
-    with pytest.raises(RankDeficient) as exc_info:
-        dense_cholesky(0.5 * (G2 + G2.T), pivot_rtol=1e-12)
-    assert exc_info.value.column == 20
+    # a negative diagonal entry gives a negative pivot at column 30
+    indefinite = G.copy()
+    indefinite[30, 30] = -1.0
+    for bad, column in ((0.5 * (G2 + G2.T), 20), (indefinite, 30)):
+        with pytest.raises(RankDeficient) as exc_info:
+            dense_cholesky(bad, pivot_rtol=1e-12)
+        assert exc_info.value.column == column
 
 
 def test_cholesky_rejects_asymmetric():

@@ -1,5 +1,7 @@
 """Sequence-driver tests: basis accumulation, rank guarding, restart,
 strategy behavior on constant and varying operator sequences."""
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,21 @@ def test_guarded_deflation_drops_dependent_columns(rng):
     assert D.n_c == 2
     assert state.n_c == 2
     assert events and events[0][0] == "dropped_column"
+
+
+def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
+    A = random_spd_matrix(60, rng)
+    C = rng.standard_normal((60, 40))
+    C[:, 25] = C[:, 3] + 2.0 * C[:, 11]
+    state = AugmentationState.from_initial(60)
+    tags = [("direction", 0, j) for j in range(40)]
+    state.append(C, tags)
+    events = []
+    D = guarded_deflation(A, state, events)
+    assert events == [("dropped_column", 25, ("direction", 0, 25))]
+    assert D.n_c == 39
+    np.testing.assert_array_equal(state.basis, np.delete(C, 25, axis=1))
+    assert state.origin_tags == tags[:25] + tags[26:]
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +212,19 @@ def test_record_bookkeeping(rng):
         assert rec.augmentation_seconds >= 0.0
         assert rec.converged
         assert rec.final_residual <= 1e-6  # relative to the right-hand side
+
+
+def test_record_times_are_wall_time_counted_once(rng):
+    systems = [(random_spd_matrix(40, rng), rng.standard_normal(40))
+               for _ in range(6)]
+    t0 = perf_counter()
+    report = run_sequence(iter(systems), Preconditioner.jacobi,
+                          RecycleStrategy("trks"),
+                          SolveConfig(tol=1e-8, max_iters=200))
+    wall = perf_counter() - t0
+    assert report.records[-1].n_c_before > 0
+    total = sum(r.solve_seconds + r.augmentation_seconds for r in report.records)
+    assert 0.0 < total <= wall
 
 
 def test_augmentation_never_hurts_in_sequence(rng):

@@ -3,9 +3,9 @@ equivalence with explicitly projected / split-preconditioned formulations."""
 import numpy as np
 import pytest
 
-from recycg import (ContractViolation, Preconditioner, SolveConfig,
-                    SolveTrace, SparseSpdMatrix, apcg_solve, build_deflation,
-                    dense_sym_eig, project)
+from recycg import (ContractViolation, NumericalFailure, Preconditioner,
+                    SolveConfig, SolveTrace, SparseSpdMatrix, apcg_solve,
+                    build_deflation, dense_sym_eig)
 from conftest import random_spd, random_spd_matrix
 
 
@@ -52,7 +52,7 @@ def test_jacobi_preconditioner():
     A = SparseSpdMatrix.from_dense(np.diag([2.0, 4.0]))
     M = Preconditioner.jacobi(A)
     np.testing.assert_allclose(M.apply(np.array([2.0, 4.0])), [1.0, 1.0])
-    np.testing.assert_allclose(M.diag(), [2.0, 4.0])
+    np.testing.assert_allclose(M.inv_diag, [0.5, 0.25])
 
 
 def test_identity_preconditioner_copies():
@@ -61,7 +61,7 @@ def test_identity_preconditioner_copies():
     out = M.apply(r)
     np.testing.assert_array_equal(out, r)
     assert out is not r
-    assert M.diag() is None
+    assert M.inv_diag is None
 
 
 def test_user_diagonal_rejects_nonpositive():
@@ -85,7 +85,7 @@ def test_empty_deflation_is_identity():
     A = SparseSpdMatrix.from_dense(np.diag([1.0, 2.0]))
     D = build_deflation(A, np.zeros((2, 0)))
     x = np.array([3.0, 4.0])
-    np.testing.assert_array_equal(project(D, x), x)
+    np.testing.assert_array_equal(D.project(x), x)
     np.testing.assert_array_equal(D.initial_guess(x), np.zeros(2))
 
 
@@ -196,6 +196,23 @@ def test_max_iters_reports_nonconvergence(rng):
     _, trace = solve(A, b, tol=1e-12, max_iters=3)
     assert not trace.converged
     assert trace.iterations == 3
+
+
+@pytest.mark.parametrize("n_c", [0, 2])
+def test_nonfinite_rhs_rejected(rng, n_c):
+    A = random_spd_matrix(10, rng)
+    b = rng.standard_normal(10)
+    b[4] = np.nan
+    with pytest.raises(ContractViolation, match="finite"):
+        solve(A, b, C=rng.standard_normal((10, n_c)))
+
+
+def test_nonfinite_residual_raises():
+    # A w overflows on the first step, so the residual turns to NaN
+    A = SparseSpdMatrix.from_dense(np.diag([1e300, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="not finite"):
+        solve(A, np.array([1e10, 1.0]))
 
 
 def test_solve_config_validation():
