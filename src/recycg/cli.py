@@ -168,8 +168,7 @@ class RunResult:
 
 
 def _run_one(config, name, strategy, precond, tol, seed):
-    cfg = SolveConfig(tol=tol, max_iters=config.max_iters,
-                      reorthogonalize=True, trace_capture=True)
+    cfg = SolveConfig(tol=tol, max_iters=config.max_iters)
     report = run_sequence(_systems(config, seed),
                           _preconditioner_factory(precond), strategy, cfg)
     return RunResult(name, strategy, precond, tol, seed, report)

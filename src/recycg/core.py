@@ -38,7 +38,9 @@ class SparseSpdMatrix:
 
     Invariants checked at construction: finite values, structural symmetry
     with equal values, strictly positive diagonal present in every row,
-    nondecreasing row offsets and sorted column indices.
+    nondecreasing row offsets, and column indices in range and strictly
+    increasing within each row.  The index arrays are stored in scipy's
+    index dtype and shared with the CSR operator.
     """
 
     n: int
@@ -48,32 +50,32 @@ class SparseSpdMatrix:
     _csr: scipy.sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ro = np.asarray(self.row_offsets, dtype=np.int64)
-        ci = np.asarray(self.col_indices, dtype=np.int64)
+        ro = np.asarray(self.row_offsets)
+        ci = np.asarray(self.col_indices)
         va = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "row_offsets", ro)
-        object.__setattr__(self, "col_indices", ci)
-        object.__setattr__(self, "values", va)
         if len(ro) != self.n + 1 or ro[0] != 0 or ro[-1] != len(ci) or len(ci) != len(va):
             raise ContractViolation("inconsistent CSR arrays")
         if np.any(np.diff(ro) < 0):
             raise ContractViolation("row_offsets must be nondecreasing")
+        # scipy's C kernels below index with these without bounds checks
+        if len(ci) and (ci.min() < 0 or ci.max() >= self.n):
+            raise ContractViolation("col_indices out of range")
         if not np.all(np.isfinite(va)):
             raise ContractViolation("matrix values must be finite")
+        # no copy of index arrays already in scipy's index dtype; the checks
+        # below allocate no pattern-sized temporaries besides the transpose
         csr = scipy.sparse.csr_matrix((va, ci, ro), shape=(self.n, self.n))
-        # sorted-within-row check: differences are positive except at row starts
-        if len(ci) > 0:
-            jumps = np.diff(ci)
-            starts = np.zeros(len(ci), dtype=bool)
-            starts[ro[1:-1]] = True
-            if np.any(jumps[~starts[1:]] <= 0):
-                raise ContractViolation("col_indices must be sorted within each row")
-        rows = np.repeat(np.arange(self.n), np.diff(ro))
-        diag_mask = rows == ci
-        if np.count_nonzero(diag_mask) != self.n or np.any(va[diag_mask] <= 0.0):
+        if not csr.has_canonical_format:
+            raise ContractViolation("col_indices must be sorted within each row")
+        if np.any(csr.diagonal() <= 0.0):
             raise ContractViolation("all diagonal entries must be present and positive")
-        if (csr != csr.T).nnz != 0:
+        t = csr.T.tocsr()
+        if not (np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)
+                and np.array_equal(t.data, csr.data)):
             raise ContractViolation("matrix is not symmetric (pattern or values)")
+        object.__setattr__(self, "row_offsets", csr.indptr)
+        object.__setattr__(self, "col_indices", csr.indices)
+        object.__setattr__(self, "values", csr.data)
         object.__setattr__(self, "_csr", csr)
 
     @classmethod
@@ -208,8 +210,7 @@ def dense_cholesky(G, pivot_rtol=0.0):
         column index so the caller can drop dependent columns.
     """
     G = np.asarray(G, dtype=np.float64)
-    n = G.shape[0]
-    if G.ndim != 2 or G.shape != (n, n):
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ContractViolation("input must be square")
     scale = np.linalg.norm(G)
     if scale > 0 and np.linalg.norm(G - G.T) > 1e-12 * scale:

@@ -183,10 +183,16 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
                  cfg: SolveConfig, C0=None) -> SequenceReport:
     """Solve a sequence of (A, b) systems, recycling per the chosen strategy.
 
-    ``M_factory`` maps each operator to its preconditioner.  Non-converged
-    solves contribute nothing to the basis; a failed solve aborts the run
-    with a partial report.
+    ``M_factory`` maps each operator to its preconditioner.  Only ``tol`` and
+    ``max_iters`` of ``cfg`` are used; the rest follows from the strategy:
+    reorthogonalization is off for ``none``, which reuses nothing, and on for
+    the recycling strategies, and the trace is captured only where it is
+    consumed, since the report keeps none.  Non-converged solves contribute
+    nothing to the basis; a failed solve aborts the run with a partial report.
     """
+    run_cfg = replace(cfg, reorthogonalize=strategy.kind != NONE,
+                      store_directions=strategy.kind == TRKS,
+                      trace_capture=strategy.kind in (SRKS, SRKS_CLUSTER))
     report = SequenceReport()
     state = None
     for k, (A, b) in enumerate(systems):
@@ -199,10 +205,6 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
         build_seconds = perf_counter() - t0
 
         M = M_factory(A)
-        run_cfg = replace(cfg,
-                          store_directions=cfg.store_directions or strategy.kind == TRKS,
-                          trace_capture=cfg.trace_capture or
-                          strategy.kind in (SRKS, SRKS_CLUSTER))
         t0 = perf_counter()
         try:
             x, trace = apcg_solve(A, M, D, b, run_cfg)

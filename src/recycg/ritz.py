@@ -160,24 +160,26 @@ def cluster_filter(values, min_cluster):
     prefix2 = np.concatenate([[0.0], np.cumsum(gaps ** 2)])
 
     def sse(i, j):
-        # least-squares error of a constant fit on gaps[i:j]
-        if j <= i:
-            return 0.0
-        s, s2, c = prefix[j] - prefix[i], prefix2[j] - prefix2[i], j - i
-        return s2 - s * s / c
+        # least-squares error of a constant fit on gaps[i:j]; an empty
+        # segment (j == i) gives s = s2 = 0 and so an error of exactly 0
+        s, s2 = prefix[j] - prefix[i], prefix2[j] - prefix2[i]
+        return s2 - s * s / np.maximum(j - i, 1)
 
-    def mean(i, j):
-        return (prefix[j] - prefix[i]) / (j - i) if j > i else 0.0
-
+    # smallest key (err, -size, mean, a) over every split (a, b) whose
+    # cluster has at least min_cluster values, which span min_cluster - 1
+    # gaps; vectorized over b only, so memory stays O(m)
     best = None
-    min_len = min_cluster - 1  # a cluster of c values spans c - 1 gaps
-    for a in range(0, ng - min_len + 1):
-        for b in range(a + min_len, ng + 1):
-            err = sse(0, a) + sse(a, b) + sse(b, ng)
-            size = b - a
-            key = (err, -size, mean(a, b), a)
-            if best is None or key < best[0]:
-                best = (key, a, b)
+    min_len = min_cluster - 1
+    for a in range(ng - min_len + 1):
+        b = np.arange(a + min_len, ng + 1)
+        err = sse(0, a) + sse(a, b) + sse(b, ng)
+        size = b - a
+        mean = (prefix[b] - prefix[a]) / np.maximum(size, 1)
+        # lexsort's last key is the primary one
+        i = np.lexsort((mean, -size, err))[0]
+        key = (err[i], -size[i], mean[i], a)
+        if best is None or key < best[0]:
+            best = (key, a, int(b[i]))
     _, a, b = best
     # cluster covers value indices a .. b (inclusive)
     return [i for i in range(m) if i < a or i > b]

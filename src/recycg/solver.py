@@ -4,10 +4,10 @@ Augmented preconditioned conjugate gradient with deflation projector.
 The solve searches the Krylov space of the projected, preconditioned operator
 on top of a fixed augmentation subspace spanned by the columns of C.  The
 initialization solves the coarse problem exactly, so the residual stays
-C-orthogonal throughout; full reorthogonalization of the search directions is
-available behind a flag.  A complete per-iteration trace (coefficients,
-residual norms, preconditioned residuals) is captured for spectral
-post-processing.
+C-orthogonal throughout; full reorthogonalization of the search directions
+against a stored block is on unless the configuration turns it off.  A
+complete per-iteration trace (coefficients, residual norms, preconditioned
+residuals) is captured for spectral post-processing.
 """
 from __future__ import annotations
 
@@ -43,8 +43,9 @@ class Preconditioner:
     @classmethod
     def user_diagonal(cls, diag):
         diag = np.asarray(diag, dtype=np.float64)
-        if np.any(diag <= 0.0):
-            raise ContractViolation("preconditioner diagonal must be positive")
+        # NaN fails both comparisons; +inf would give a zero inverse entry
+        if not np.all((diag > 0.0) & (diag < np.inf)):
+            raise ContractViolation("preconditioner diagonal must be positive and finite")
         return cls(USER_DIAGONAL, 1.0 / diag)
 
     def apply(self, r):
@@ -119,7 +120,14 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
 
 @dataclass
 class SolveConfig:
-    """Tolerance/iteration settings and trace-capture switches for one solve."""
+    """Tolerance/iteration settings and trace-capture switches for one solve.
+
+    ``reorthogonalize`` sweeps each new search direction against all stored
+    ones in the A-inner product.  ``run_sequence`` sets it, ``trace_capture``
+    and ``store_directions`` from the strategy: reorthogonalization is off for
+    ``none``, which reuses nothing, and on for the recycling strategies, whose
+    reused directions and Ritz vectors depend on orthogonality.
+    """
 
     tol: float = 1e-6
     max_iters: int = 1000
@@ -221,12 +229,14 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
     w = z.copy()
 
     # stored direction block for full reorthogonalization (A-inner product),
-    # grown geometrically to avoid per-iteration reallocation
-    cap = 64
-    W = np.empty((A.n, cap))
-    AW = np.empty((A.n, cap))
-    wAw_diag = np.empty(cap)
-    stored = 0
+    # one direction per row so that storing one is a contiguous write; the
+    # block grows geometrically to avoid per-iteration reallocation
+    if cfg.reorthogonalize:
+        cap = 64
+        W = np.empty((cap, A.n))
+        AW = np.empty((cap, A.n))
+        wAw_diag = np.empty(cap)
+        stored = 0
 
     for _ in range(cfg.max_iters):
         Aw = A @ w
@@ -254,11 +264,11 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         if cfg.reorthogonalize:
             if stored == cap:
                 cap *= 2
-                W = np.concatenate([W, np.empty_like(W)], axis=1)
-                AW = np.concatenate([AW, np.empty_like(AW)], axis=1)
+                W = np.concatenate([W, np.empty_like(W)])
+                AW = np.concatenate([AW, np.empty_like(AW)])
                 wAw_diag = np.concatenate([wAw_diag, np.empty_like(wAw_diag)])
-            W[:, stored] = w
-            AW[:, stored] = Aw
+            W[stored] = w
+            AW[stored] = Aw
             wAw_diag[stored] = wAw
             stored += 1
 
@@ -275,8 +285,7 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         w = z + beta * w
         if cfg.reorthogonalize:
             # one sweep against all stored directions in the A-inner product
-            Wv = W[:, :stored]
-            w = w - Wv @ ((AW[:, :stored].T @ w) / wAw_diag[:stored])
+            w -= ((AW[:stored] @ w) / wAw_diag[:stored]) @ W[:stored]
         rz = rz_next
 
     return x, trace

@@ -59,6 +59,21 @@ def test_rejects_unsorted_columns():
         SparseSpdMatrix(2, ro, ci, va)
 
 
+@pytest.mark.parametrize("ci", [[0, 1, 1, 5], [-1, 0, 0, 1]])
+def test_rejects_column_index_out_of_range(ci):
+    # every row has its diagonal, so only the range check can catch this
+    with pytest.raises(ContractViolation, match="out of range"):
+        SparseSpdMatrix(2, np.array([0, 2, 4]), np.array(ci), np.ones(4))
+
+
+def test_rejects_asymmetric_pattern_with_explicit_zero():
+    ro = np.array([0, 2, 3])
+    ci = np.array([0, 1, 1])  # (0, 1) stored as an explicit zero, (1, 0) not
+    va = np.array([1.0, 0.0, 1.0])
+    with pytest.raises(ContractViolation, match="symmetric"):
+        SparseSpdMatrix(2, ro, ci, va)
+
+
 def test_rejects_inconsistent_offsets():
     with pytest.raises(ContractViolation):
         SparseSpdMatrix(2, np.array([0, 1]), np.array([0]), np.array([1.0]))
@@ -114,6 +129,12 @@ def test_cholesky_identity():
 
 def test_cholesky_empty():
     assert dense_cholesky(np.zeros((0, 0))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("G", [np.float64(2.0), np.ones(3)])
+def test_cholesky_rejects_non_matrix(G):
+    with pytest.raises(ContractViolation):
+        dense_cholesky(G)
 
 
 def test_cholesky_2x2():

@@ -9,6 +9,7 @@ from recycg import (AugmentationState, ContractViolation, Preconditioner,
                     RecycleStrategy, SolveConfig, SparseSpdMatrix, apcg_solve,
                     build_deflation, run_sequence, subspace_overlap,
                     update_basis_srks, update_basis_trks)
+from recycg import recycle
 from recycg.recycle import guarded_deflation, select_spectrum
 from recycg.solver import SolveTrace
 from conftest import random_spd_matrix
@@ -236,6 +237,38 @@ def test_augmentation_never_hurts_in_sequence(rng):
     for (A, b), rec in zip(systems, recycled.records):
         _, fresh = solve_once(A, b, tol=1e-8, max_iters=300)
         assert rec.iterations <= fresh.iterations + 1
+
+
+KINDS = ["none", "trks", "srks", "srks_cluster"]
+
+
+def solve_configs_seen(monkeypatch, rng, kind, cfg):
+    """The configs ``run_sequence`` hands to ``apcg_solve`` over two solves."""
+    seen = []
+
+    def spy(A, M, D, b, run_cfg):
+        seen.append(run_cfg)
+        return apcg_solve(A, M, D, b, run_cfg)
+
+    monkeypatch.setattr(recycle, "apcg_solve", spy)
+    A = random_spd_matrix(15, rng, condition=10.0)
+    run_sequence(constant_sequence(A, rng.standard_normal(15), 2),
+                 lambda A: Preconditioner.identity(), RecycleStrategy(kind), cfg)
+    assert len(seen) == 2
+    return seen
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("switches", [{}, dict(reorthogonalize=False,
+                                               trace_capture=False,
+                                               store_directions=True)])
+def test_solve_switches_follow_strategy(monkeypatch, rng, kind, switches):
+    cfg = SolveConfig(tol=1e-4, max_iters=100, **switches)
+    for run_cfg in solve_configs_seen(monkeypatch, rng, kind, cfg):
+        assert run_cfg.reorthogonalize is (kind != "none")
+        assert run_cfg.trace_capture is (kind in ("srks", "srks_cluster"))
+        assert run_cfg.store_directions is (kind == "trks")
+        assert (run_cfg.tol, run_cfg.max_iters) == (cfg.tol, cfg.max_iters)
 
 
 def test_failed_solve_aborts_with_partial_report(rng):

@@ -250,6 +250,60 @@ def test_cluster_filter_scale_invariant(scale):
     assert base == scaled
 
 
+def loop_cluster_filter(values, min_cluster):
+    """The original O(m^2) double loop, kept as the reference."""
+    values = np.asarray(values, dtype=np.float64)
+    m = len(values)
+    if m < min_cluster or m < 2:
+        return list(range(m))
+    gaps = np.abs(np.diff(values))
+    ng = len(gaps)
+    prefix = np.concatenate([[0.0], np.cumsum(gaps)])
+    prefix2 = np.concatenate([[0.0], np.cumsum(gaps ** 2)])
+
+    def sse(i, j):
+        if j <= i:
+            return 0.0
+        s, s2, c = prefix[j] - prefix[i], prefix2[j] - prefix2[i], j - i
+        return s2 - s * s / c
+
+    def mean(i, j):
+        return (prefix[j] - prefix[i]) / (j - i) if j > i else 0.0
+
+    best = None
+    min_len = min_cluster - 1
+    for a in range(0, ng - min_len + 1):
+        for b in range(a + min_len, ng + 1):
+            err = sse(0, a) + sse(a, b) + sse(b, ng)
+            key = (err, -(b - a), mean(a, b), a)
+            if best is None or key < best[0]:
+                best = (key, a, b)
+    _, a, b = best
+    return [i for i in range(m) if i < a or i > b]
+
+
+# ties: values from a small set repeat gaps; all-equal: every fit is exact
+cluster_inputs = st.one_of(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40),
+    st.lists(st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0]), min_size=1, max_size=40),
+    st.builds(lambda v, n: [v] * n, st.floats(min_value=-1e3, max_value=1e3),
+              st.integers(1, 30)),
+)
+
+
+@given(cluster_inputs, st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_cluster_filter_matches_loop(values, min_cluster):
+    assert cluster_filter(values, min_cluster) == \
+        loop_cluster_filter(values, min_cluster)
+
+
+def test_cluster_filter_matches_loop_at_ritz_size(rng):
+    values = np.sort(np.concatenate([rng.uniform(1.0, 2.0, 290),
+                                     rng.uniform(10.0, 50.0, 10)]))[::-1]
+    assert cluster_filter(values, 60) == loop_cluster_filter(values, 60)
+
+
 # ---------------------------------------------------------------------------
 # predictors
 

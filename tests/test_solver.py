@@ -69,6 +69,12 @@ def test_user_diagonal_rejects_nonpositive():
         Preconditioner.user_diagonal([1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_user_diagonal_rejects_nonfinite(bad):
+    with pytest.raises(ContractViolation):
+        Preconditioner.user_diagonal([1.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # build_deflation / project
 
@@ -213,6 +219,32 @@ def test_nonfinite_residual_raises():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalFailure, match="not finite"):
         solve(A, np.array([1e10, 1.0]))
+
+
+def test_orthogonality_across_reorthogonalization_block_growth():
+    # 157 iterations: the stored-direction block grows from 64 to 128 to 256
+    rng = np.random.Generator(np.random.Philox(5))
+    n = 300
+    G = random_spd(n, rng, condition=1e4)
+    A = SparseSpdMatrix.from_dense(G, keep_zeros=True)
+    _, trace = solve(A, rng.standard_normal(n), tol=1e-3, max_iters=n,
+                     reorthogonalize=True, store_directions=True)
+    m = trace.iterations
+    assert trace.converged and m > 128
+
+    R = np.column_stack(trace.r_history)
+    Z = np.column_stack(trace.z_history[:m])
+    rz = np.abs(R.T @ Z) / np.outer(np.linalg.norm(R, axis=0),
+                                    np.linalg.norm(Z, axis=0))
+    np.fill_diagonal(rz, 0.0)
+    assert rz.max() <= 1e-8
+
+    W = np.column_stack(trace.w_history)
+    gram = W.T @ (G @ W)
+    a_norms = np.sqrt(np.diag(gram))
+    waw = np.abs(gram) / np.outer(a_norms, a_norms)
+    np.fill_diagonal(waw, 0.0)
+    assert waw.max() <= 1e-8
 
 
 def test_solve_config_validation():
