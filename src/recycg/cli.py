@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,8 @@ from .problems import (InclusionGridSpec, generate_diffusion_sequence,
                        read_matrix_market, regular_inclusion_layout,
                        write_matrix_market)
 from .recycle import RecycleStrategy, SequenceReport, run_sequence, subspace_overlap
-from .ritz import (cluster_filter, lanczos_tridiag, predict_iterations,
-                   select_converged)
-from .core import TridiagSym, tridiag_eig
-from .ritz import RitzSpectrum
+from .ritz import RitzSpectrum, lanczos_tridiag, predict_iterations
+from .core import tridiag_eig
 from .solver import Preconditioner, SolveConfig, SolveTrace
 
 CSV_HEADER = ("strategy,preconditioner,tol,k,iterations,n_c_before,"
@@ -139,13 +137,7 @@ def _systems(config, seed):
         for mat_path in problem["matrices"]:
             pairs.append((read_matrix_market(mat_path), rhs))
         return pairs
-    spec = problem_spec_from_dict(problem)
-    if seed != spec.seed:
-        spec = InclusionGridSpec(grid=spec.grid,
-                                 inclusion_layout=spec.inclusion_layout,
-                                 matrix_coeff_mean=spec.matrix_coeff_mean,
-                                 inclusion_coeff_mean=spec.inclusion_coeff_mean,
-                                 rel_std=spec.rel_std, seed=seed)
+    spec = replace(problem_spec_from_dict(problem), seed=seed)
     return generate_diffusion_sequence(spec, config.count)
 
 
@@ -260,22 +252,20 @@ def _inspect_trace(artifact, stream):
     print(f"trace: {m} iterations, converged={trace.converged}", file=stream)
     if m < 1:
         return 0
-    T = lanczos_tridiag(trace.alphas, trace.betas)
-    current = tridiag_eig(T)
-    spectrum = RitzSpectrum(current.values, np.zeros((0, m)))
-    if m >= 2:
-        prev = tridiag_eig(T.truncated(m - 1)).values
-        epsilon = float(artifact.get("epsilon", 1e-6))
-        spectrum = select_converged(spectrum, prev, epsilon)
-        flags = spectrum.converged_mask
-    else:
-        flags = np.zeros(m, dtype=bool)
+    # the run's own selection, on the values alone: a saved trace need not
+    # carry the z_j that Ritz vectors are built from
+    T = lanczos_tridiag(trace.alphas[:m], trace.betas[:m - 1])
+    ritz = RitzSpectrum(tridiag_eig(T).values, np.zeros((0, m)))
+    epsilon = float(artifact.get("epsilon", 1e-6))
+    flags = recycle.flag_spectrum(
+        T, ritz, RecycleStrategy(recycle.SRKS, epsilon)).converged_mask
+    kept = recycle.flag_spectrum(
+        T, ritz, RecycleStrategy(recycle.SRKS_CLUSTER, epsilon)).converged_mask
     print("ritz spectrum (descending):", file=stream)
-    for theta, flag in zip(spectrum.values, flags):
+    for theta, flag in zip(ritz.values, flags):
         print(f"  {theta: .12e}  {'converged' if flag else '-'}", file=stream)
-    if m >= 3:
-        retained = cluster_filter(spectrum.values, max(1, math.ceil(m / 5)))
-        print(f"cluster segmentation: external indices {sorted(retained)}", file=stream)
+    print(f"kept by the cluster filter: indices {np.flatnonzero(kept).tolist()}",
+          file=stream)
     true_spectrum = artifact.get("spectrum")
     if true_spectrum:
         eps_cg = float(artifact.get("eps_cg", 1e-6))

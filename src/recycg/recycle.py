@@ -124,18 +124,16 @@ def guarded_deflation(A: SparseSpdMatrix, state: AugmentationState, events=None)
             state.drop_column(exc.column)
             if events is not None:
                 events.append(("dropped_column", exc.column, tag))
-            if state.n_c == 0:
-                return build_deflation(A, state.basis)
 
 
 def update_basis_trks(state: AugmentationState, trace: SolveTrace,
                       system_index=0) -> AugmentationState:
-    """Append all captured search directions, normalized to unit length."""
-    if not trace.w_history:
-        if trace.iterations > 0:
-            raise ContractViolation("trace has no stored directions (enable store_directions)")
+    """Append all search directions of the solve, normalized to unit length."""
+    if trace.iterations == 0:
         return state
-    W = np.column_stack(trace.w_history)
+    if trace.directions is None:
+        raise ContractViolation("trace has no search directions (solve with reorthogonalize)")
+    W = trace.directions.T
     norms = np.linalg.norm(W, axis=0)
     keep = norms > 0.0
     W = W[:, keep] / norms[keep]
@@ -158,25 +156,28 @@ def update_basis_srks(state: AugmentationState, spectrum,
     return state
 
 
-def select_spectrum(trace: SolveTrace, strategy: RecycleStrategy):
-    """Ritz extraction + stagnation selection (+ cluster filter) for one trace."""
-    view = lanczos_from_trace(trace)
-    spectrum = ritz_pairs(view)
-    if view.m < 2:
+def flag_spectrum(tridiag, spectrum, strategy: RecycleStrategy):
+    """Stagnation selection (+ cluster filter) on the values of ``spectrum``,
+    the Ritz spectrum of ``tridiag``; needs no Ritz vectors."""
+    m = spectrum.m
+    if m < 2:
         return select_converged(spectrum, np.empty(0), strategy.epsilon)
-    prev = tridiag_eig(view.tridiag.truncated(view.m - 1)).values
+    prev = tridiag_eig(tridiag.truncated(m - 1)).values
     spectrum = select_converged(spectrum, prev, strategy.epsilon)
     if strategy.kind == SRKS_CLUSTER:
         preselected = int(spectrum.converged_mask.sum())
         if preselected > 0:
             min_cluster = strategy.min_cluster or max(1, math.ceil(preselected / 5))
-            retained = set(cluster_filter(spectrum.values, min_cluster))
-            mask = spectrum.converged_mask.copy()
-            for j in range(len(mask)):
-                if j not in retained:
-                    mask[j] = False
-            spectrum = replace(spectrum, converged_mask=mask)
+            external = np.zeros(m, dtype=bool)
+            external[cluster_filter(spectrum.values, min_cluster)] = True
+            spectrum = replace(spectrum, converged_mask=spectrum.converged_mask & external)
     return spectrum
+
+
+def select_spectrum(trace: SolveTrace, strategy: RecycleStrategy):
+    """Ritz extraction + stagnation selection (+ cluster filter) for one trace."""
+    view = lanczos_from_trace(trace)
+    return flag_spectrum(view.tridiag, ritz_pairs(view), strategy)
 
 
 def run_sequence(systems, M_factory, strategy: RecycleStrategy,
@@ -184,15 +185,12 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
     """Solve a sequence of (A, b) systems, recycling per the chosen strategy.
 
     ``M_factory`` maps each operator to its preconditioner.  Only ``tol`` and
-    ``max_iters`` of ``cfg`` are used; the rest follows from the strategy:
-    reorthogonalization is off for ``none``, which reuses nothing, and on for
-    the recycling strategies, and the trace is captured only where it is
-    consumed, since the report keeps none.  Non-converged solves contribute
-    nothing to the basis; a failed solve aborts the run with a partial report.
+    ``max_iters`` of ``cfg`` are used; reorthogonalization follows from the
+    strategy: off for ``none``, which reuses nothing, and on for the
+    recycling strategies.  Non-converged solves contribute nothing to the
+    basis; a failed solve aborts the run with a partial report.
     """
-    run_cfg = replace(cfg, reorthogonalize=strategy.kind != NONE,
-                      store_directions=strategy.kind == TRKS,
-                      trace_capture=strategy.kind in (SRKS, SRKS_CLUSTER))
+    run_cfg = replace(cfg, reorthogonalize=strategy.kind != NONE)
     report = SequenceReport()
     state = None
     for k, (A, b) in enumerate(systems):
@@ -214,16 +212,14 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
             break
         solve_seconds = perf_counter() - t0
 
-        selected = 0
         t0 = perf_counter()
         if trace.converged and trace.iterations > 0:
             if strategy.kind == TRKS:
                 update_basis_trks(state, trace, system_index=k)
-                selected = state.n_c - n_c_before
             elif strategy.kind in (SRKS, SRKS_CLUSTER):
-                spectrum = select_spectrum(trace, strategy)
-                update_basis_srks(state, spectrum, system_index=k)
-                selected = state.n_c - n_c_before
+                update_basis_srks(state, select_spectrum(trace, strategy),
+                                  system_index=k)
+        selected = state.n_c - n_c_before
         update_seconds = perf_counter() - t0
 
         if strategy.nc_limit > 0 and state.n_c >= strategy.nc_limit:
@@ -237,6 +233,8 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
             n_c_selected=selected, solve_seconds=solve_seconds,
             augmentation_seconds=build_seconds + update_seconds,
             final_residual=final_rel, converged=trace.converged))
+        # free the old basis, AC, coarse factor and Krylov block before the next build
+        del D, trace
     if state is not None:
         report.final_basis = state.basis
         report.final_tags = list(state.origin_tags)

@@ -83,7 +83,7 @@ def lanczos_from_trace(trace: SolveTrace) -> LanczosView:
     if trace.iterations < 1:
         raise ContractViolation("trace has no iterations")
     if len(trace.z_history) < trace.iterations:
-        raise ContractViolation("trace was captured without z_history")
+        raise ContractViolation("trace has no z_history (solve with reorthogonalize)")
     m = trace.iterations
     # a run stopped by the iteration cap has one trailing beta with no
     # successor direction; the tridiagonal only uses the first m - 1

@@ -5,9 +5,11 @@ The solve searches the Krylov space of the projected, preconditioned operator
 on top of a fixed augmentation subspace spanned by the columns of C.  The
 initialization solves the coarse problem exactly, so the residual stays
 C-orthogonal throughout; full reorthogonalization of the search directions
-against a stored block is on unless the configuration turns it off.  A
-complete per-iteration trace (coefficients, residual norms, preconditioned
-residuals) is captured for spectral post-processing.
+against a stored block is on unless the configuration turns it off.  The
+trace records the coefficients and residual norms of every iteration; a
+reorthogonalized solve also keeps the preconditioned residuals for spectral
+post-processing and hands its direction block over as the trace's search
+directions.
 """
 from __future__ import annotations
 
@@ -120,20 +122,19 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
 
 @dataclass
 class SolveConfig:
-    """Tolerance/iteration settings and trace-capture switches for one solve.
+    """Tolerance, iteration cap and the reorthogonalization switch of one solve.
 
     ``reorthogonalize`` sweeps each new search direction against all stored
-    ones in the A-inner product.  ``run_sequence`` sets it, ``trace_capture``
-    and ``store_directions`` from the strategy: reorthogonalization is off for
-    ``none``, which reuses nothing, and on for the recycling strategies, whose
-    reused directions and Ritz vectors depend on orthogonality.
+    ones in the A-inner product and keeps what Krylov recycling reads: the
+    preconditioned residuals and the stored direction block.  ``run_sequence``
+    sets it from the strategy: off for ``none``, which reuses nothing, and on
+    for the recycling strategies, whose reused directions and Ritz vectors
+    depend on orthogonality.
     """
 
     tol: float = 1e-6
     max_iters: int = 1000
     reorthogonalize: bool = True
-    trace_capture: bool = True
-    store_directions: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -148,9 +149,10 @@ class SolveTrace:
 
     ``betas[j]`` is the positive Gram-Schmidt ratio (r_{j+1}, z_{j+1}) /
     (r_j, z_j) coupling directions j and j+1, so the Lanczos tridiagonal can
-    be rebuilt from ``alphas``/``betas`` alone.  ``z_history`` holds the
-    projected preconditioned residuals z_j; ``w_history`` and ``r_history``
-    are captured only when directions are stored (recycling / diagnostics).
+    be rebuilt from ``alphas``/``betas`` alone.  A reorthogonalized solve
+    fills ``z_history`` with the projected preconditioned residuals z_j and
+    sets ``directions`` to its (m, n) block of search directions, one per
+    row; otherwise ``z_history`` stays empty and ``directions`` None.
     """
 
     alphas: list = field(default_factory=list)
@@ -160,8 +162,7 @@ class SolveTrace:
     z_history: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    w_history: list = field(default_factory=list)
-    r_history: list = field(default_factory=list)
+    directions: np.ndarray | None = None
 
     def to_json_dict(self, spectrum=None, eps_cg=None):
         d = {
@@ -247,11 +248,8 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
 
         trace.alphas.append(alpha)
         trace.rz_inner.append(rz)
-        if cfg.trace_capture:
+        if cfg.reorthogonalize:
             trace.z_history.append(z)
-        if cfg.store_directions:
-            trace.w_history.append(w.copy())
-            trace.r_history.append(r.copy())
 
         x = x + alpha * w
         r = r - alpha * Aw
@@ -288,4 +286,6 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
             w -= ((AW[:stored] @ w) / wAw_diag[:stored]) @ W[:stored]
         rz = rz_next
 
+    if cfg.reorthogonalize:
+        trace.directions = W[:stored]
     return x, trace

@@ -18,6 +18,18 @@ def random_spd_matrix(n, rng, condition=100.0):
                                       keep_zeros=True)
 
 
+def residual_history(A, b, x0, trace):
+    """Residuals r_0 .. r_{m-1} of a reorthogonalized solve from ``x0``, as
+    columns, rebuilt with the solver's recurrence r_{j+1} = r_j - alpha_j A w_j
+    over the trace's search directions."""
+    r = b - A @ x0
+    R = []
+    for alpha, w in zip(trace.alphas, trace.directions):
+        R.append(r)
+        r = r - alpha * (A @ w)
+    return np.column_stack(R)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(1234))

@@ -19,6 +19,7 @@ from recycg import (Preconditioner, RecycleStrategy, RitzSpectrum,
 from recycg.cli import cli_run
 from recycg.problems import benchmark_spec
 from recycg.recycle import AugmentationState, select_spectrum
+from conftest import residual_history
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "fixtures" / "benchmark_pilot.json").read_text())
@@ -56,20 +57,20 @@ def test_criterion_1_orthogonality(capsys):
         A = SparseSpdMatrix.from_dense(0.5 * (G + G.T), keep_zeros=True)
         b = rng.standard_normal(n)
         _, trace = plain_solve(A, b, tol=1e-6, max_iters=60,
-                               reorthogonalize=True, store_directions=True)
+                               reorthogonalize=True)
         m = trace.iterations
         if not trace.converged or m < 2:
             continue
         converged_runs += 1
         Z = np.column_stack(trace.z_history[:m])
-        R = np.column_stack(trace.r_history[:m])
+        R = residual_history(A, b, np.zeros(n), trace)
         cross = np.abs(R.T @ Z) / np.outer(np.linalg.norm(R, axis=0),
                                            np.linalg.norm(Z, axis=0))
         np.fill_diagonal(cross, 0.0)
         worst_rz = max(worst_rz, cross.max())
 
-        W = np.column_stack(trace.w_history)
-        AW = np.column_stack([A @ w for w in trace.w_history])
+        W = trace.directions.T
+        AW = np.column_stack([A @ w for w in trace.directions])
         gram = W.T @ AW
         a_norms = np.sqrt(np.diag(gram))
         waw = np.abs(gram) / np.outer(a_norms, a_norms)
@@ -204,14 +205,14 @@ def test_criterion_5_superconvergence_ordering(capsys):
     x_true = rng.standard_normal(len(lam))
     b = lam * x_true
     D = build_deflation(A, np.zeros((A.n, 0)))
-    cfg = SolveConfig(tol=1e-13, max_iters=300, store_directions=True)
+    cfg = SolveConfig(tol=1e-13, max_iters=300)
     _, trace = apcg_solve(A, Preconditioner.identity(), D, b, cfg)
 
     # iteration at which the A-norm error first drops below eps_cg
     x = np.zeros(len(lam))
     e0 = math.sqrt(x_true @ (lam * x_true))
     observed = None
-    for i, (alpha, w) in enumerate(zip(trace.alphas, trace.w_history), start=1):
+    for i, (alpha, w) in enumerate(zip(trace.alphas, trace.directions), start=1):
         x = x + alpha * w
         err = x - x_true
         if math.sqrt(err @ (lam * err)) <= eps_cg * e0:

@@ -180,6 +180,49 @@ def test_inspect_trace(tmp_path):
     assert "predicted iterations" in text
 
 
+def test_inspect_keeps_the_runs_selection(tmp_path):
+    from recycg import (Preconditioner, RecycleStrategy, SolveConfig,
+                        apcg_solve, build_deflation, generate_diffusion_sequence)
+    from recycg.problems import benchmark_spec
+    from recycg.recycle import select_spectrum
+    # a trace on which the cluster size ceil(m / 5) over all m Ritz values
+    # splits the spectrum differently from the run's ceil(preselected / 5)
+    (A, b), = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1)
+    D = build_deflation(A, np.zeros((A.n, 0)))
+    _, trace = apcg_solve(A, Preconditioner.jacobi(A), D, b,
+                          SolveConfig(tol=1e-6, max_iters=500))
+    strategy = RecycleStrategy("srks_cluster", epsilon=1e-14)
+    expected = np.flatnonzero(select_spectrum(trace, strategy).converged_mask)
+    assert 0 < len(expected)
+
+    artifact = {**trace.to_json_dict(), "epsilon": strategy.epsilon}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(artifact))
+    stream = io.StringIO()
+    assert cli_inspect(path, stream=stream) == 0
+    line, = [ln for ln in stream.getvalue().splitlines()
+             if ln.startswith("kept by the cluster filter: indices ")]
+    assert json.loads(line.split("indices ", 1)[1]) == expected.tolist()
+
+
+def test_inspect_trace_stopped_by_iteration_cap(tmp_path):
+    from recycg import (Preconditioner, SolveConfig, SparseSpdMatrix,
+                        apcg_solve, build_deflation)
+    A = SparseSpdMatrix.from_dense(np.diag(np.geomspace(1.0, 1e3, 40)))
+    D = build_deflation(A, np.zeros((40, 0)))
+    _, trace = apcg_solve(A, Preconditioner.identity(), D, np.ones(40),
+                          SolveConfig(tol=1e-12, max_iters=5))
+    # the capped run keeps a trailing beta with no successor direction
+    assert not trace.converged and len(trace.betas) == trace.iterations == 5
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace.to_json_dict()))
+    stream = io.StringIO()
+    assert cli_inspect(path, stream=stream) == 0
+    ritz_lines = [ln for ln in stream.getvalue().splitlines()
+                  if ln.endswith(("converged", "-"))]
+    assert len(ritz_lines) == 5
+
+
 def test_inspect_report_summary(tmp_path):
     summary = {"none|jacobi|0.001|seed0": {"avg_iterations": 10.0,
                                            "avg_n_c": 0.0, "max_n_c": 0}}

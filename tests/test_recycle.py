@@ -1,5 +1,6 @@
 """Sequence-driver tests: basis accumulation, rank guarding, restart,
 strategy behavior on constant and varying operator sequences."""
+import weakref
 from time import perf_counter
 
 import numpy as np
@@ -79,14 +80,24 @@ def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
     assert state.origin_tags == tags[:25] + tags[26:]
 
 
+def test_guarded_deflation_all_columns_dependent(rng):
+    A = random_spd_matrix(8, rng)
+    state = AugmentationState.from_initial(8, np.zeros((8, 3)))
+    events = []
+    D = guarded_deflation(A, state, events)
+    assert events == [("dropped_column", 0, ("initial", j)) for j in range(3)]
+    assert state.n_c == D.n_c == 0
+    x = rng.standard_normal(8)
+    np.testing.assert_array_equal(D.project(x), x)
+
+
 # ---------------------------------------------------------------------------
 # basis updates
 
 
 def test_trks_appends_all_directions(rng):
     A = random_spd_matrix(12, rng)
-    _, trace = solve_once(A, rng.standard_normal(12), tol=1e-3,
-                          store_directions=True)
+    _, trace = solve_once(A, rng.standard_normal(12), tol=1e-3)
     state = AugmentationState.from_initial(12)
     update_basis_trks(state, trace)
     assert state.n_c == trace.iterations
@@ -95,7 +106,7 @@ def test_trks_appends_all_directions(rng):
 
 def test_trks_requires_stored_directions(rng):
     A = random_spd_matrix(8, rng)
-    _, trace = solve_once(A, rng.standard_normal(8))
+    _, trace = solve_once(A, rng.standard_normal(8), reorthogonalize=False)
     state = AugmentationState.from_initial(8)
     with pytest.raises(ContractViolation):
         update_basis_trks(state, trace)
@@ -259,16 +270,36 @@ def solve_configs_seen(monkeypatch, rng, kind, cfg):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("switches", [{}, dict(reorthogonalize=False,
-                                               trace_capture=False,
-                                               store_directions=True)])
+@pytest.mark.parametrize("switches", [{}, dict(reorthogonalize=False)])
 def test_solve_switches_follow_strategy(monkeypatch, rng, kind, switches):
     cfg = SolveConfig(tol=1e-4, max_iters=100, **switches)
     for run_cfg in solve_configs_seen(monkeypatch, rng, kind, cfg):
         assert run_cfg.reorthogonalize is (kind != "none")
-        assert run_cfg.trace_capture is (kind in ("srks", "srks_cluster"))
-        assert run_cfg.store_directions is (kind == "trks")
         assert (run_cfg.tol, run_cfg.max_iters) == (cfg.tol, cfg.max_iters)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_step_frees_operator_and_trace_before_next_build(monkeypatch, rng, kind):
+    operators, traces, alive_at_build = [], [], []
+
+    def deflation_spy(A, state, events=None):
+        alive_at_build.append([ref() is not None for ref in operators + traces])
+        D = guarded_deflation(A, state, events)
+        operators.append(weakref.ref(D))
+        return D
+
+    def solve_spy(*args):
+        x, trace = apcg_solve(*args)
+        traces.append(weakref.ref(trace))
+        return x, trace
+
+    monkeypatch.setattr(recycle, "guarded_deflation", deflation_spy)
+    monkeypatch.setattr(recycle, "apcg_solve", solve_spy)
+    A = random_spd_matrix(15, rng, condition=10.0)
+    run_sequence(constant_sequence(A, rng.standard_normal(15), 3),
+                 lambda A: Preconditioner.identity(), RecycleStrategy(kind),
+                 SolveConfig(tol=1e-4, max_iters=100))
+    assert alive_at_build == [[], [False, False], [False] * 4]
 
 
 def test_failed_solve_aborts_with_partial_report(rng):

@@ -402,13 +402,13 @@ def test_instantaneous_rate_bounds_observed_contraction(rng):
     x_true = rng.standard_normal(20)
     b = lam * x_true
     D = build_deflation(A, np.zeros((20, 0)))
-    cfg = SolveConfig(tol=1e-12, max_iters=40, store_directions=True)
+    cfg = SolveConfig(tol=1e-12, max_iters=40)
     _, trace = apcg_solve(A, Preconditioner.identity(), D, b, cfg)
     view = lanczos_from_trace(trace)
 
     # reconstruct the error history from the stored directions
     xs = [np.zeros(20)]
-    for alpha, w in zip(trace.alphas, trace.w_history):
+    for alpha, w in zip(trace.alphas, trace.directions):
         xs.append(xs[-1] + alpha * w)
     errs = [math.sqrt((x - x_true) @ (lam * (x - x_true))) for x in xs]
 
