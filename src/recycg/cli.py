@@ -25,7 +25,7 @@ from .problems import (InclusionGridSpec, generate_diffusion_sequence,
                        read_matrix_market, regular_inclusion_layout,
                        write_matrix_market)
 from .recycle import RecycleStrategy, SequenceReport, run_sequence, subspace_overlap
-from .ritz import RitzSpectrum, lanczos_tridiag, predict_iterations
+from .ritz import lanczos_tridiag, predict_iterations
 from .core import tridiag_eig
 from .solver import Preconditioner, SolveConfig, SolveTrace
 
@@ -252,17 +252,15 @@ def _inspect_trace(artifact, stream):
     print(f"trace: {m} iterations, converged={trace.converged}", file=stream)
     if m < 1:
         return 0
-    # the run's own selection, on the values alone: a saved trace need not
+    # the run's own selection, on the values alone: a saved trace does not
     # carry the z_j that Ritz vectors are built from
     T = lanczos_tridiag(trace.alphas[:m], trace.betas[:m - 1])
-    ritz = RitzSpectrum(tridiag_eig(T).values, np.zeros((0, m)))
+    values = tridiag_eig(T).values
     epsilon = float(artifact.get("epsilon", 1e-6))
-    flags = recycle.flag_spectrum(
-        T, ritz, RecycleStrategy(recycle.SRKS, epsilon)).converged_mask
-    kept = recycle.flag_spectrum(
-        T, ritz, RecycleStrategy(recycle.SRKS_CLUSTER, epsilon)).converged_mask
+    flags = recycle.flag_spectrum(T, values, RecycleStrategy(recycle.SRKS, epsilon))
+    kept = recycle.flag_spectrum(T, values, RecycleStrategy(recycle.SRKS_CLUSTER, epsilon))
     print("ritz spectrum (descending):", file=stream)
-    for theta, flag in zip(ritz.values, flags):
+    for theta, flag in zip(values, flags):
         print(f"  {theta: .12e}  {'converged' if flag else '-'}", file=stream)
     print(f"kept by the cluster filter: indices {np.flatnonzero(kept).tolist()}",
           file=stream)
@@ -300,11 +298,12 @@ def cli_gen(spec_path, out_dir):
     """Write a generated sequence as Matrix Market files; returns exit status."""
     raw = yaml.safe_load(Path(spec_path).read_text())
     if not isinstance(raw, dict):
-        print(f"error: {spec_path}: spec must be a mapping", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{spec_path}: spec must be a mapping")
     problem = raw.get("problem", raw)
     count = int(raw.get("count", problem.get("count", 1)))
     spec = problem_spec_from_dict(problem)
+    if spec is None:
+        raise ConfigError(f"{spec_path}: gen needs a generated problem, not kind: files")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rhs_written = False

@@ -16,11 +16,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import ContractViolation, NumericalFailure, RankDeficient, SparseSpdMatrix
+from .core import (ContractViolation, NumericalFailure, RankDeficient,
+                   SparseSpdMatrix, tridiag_eig)
 from .ritz import cluster_filter, lanczos_from_trace, ritz_pairs, select_converged
-from .core import tridiag_eig
-from .solver import (DeflationOperator, Preconditioner, SolveConfig,
-                     SolveTrace, apcg_solve, build_deflation)
+from .solver import SolveConfig, SolveTrace, apcg_solve, build_deflation
 
 NONE = "none"
 TRKS = "trks"
@@ -46,6 +45,8 @@ class RecycleStrategy:
             raise ContractViolation("epsilon must be positive for SRKS kinds")
         if self.nc_limit < 0:
             raise ContractViolation("nc_limit must be >= 0")
+        if self.min_cluster < 0:
+            raise ContractViolation("min_cluster must be >= 0")
 
 
 @dataclass
@@ -144,40 +145,38 @@ def update_basis_trks(state: AugmentationState, trace: SolveTrace,
 
 def update_basis_srks(state: AugmentationState, spectrum,
                       system_index=0) -> AugmentationState:
-    """Append flagged Ritz vectors, each scaled by 1/sqrt(|theta|)."""
+    """Append the selected Ritz vectors, each scaled by 1/sqrt(|theta|)."""
     if spectrum.converged_mask is None:
         raise ContractViolation("spectrum has no convergence mask")
-    idx = np.flatnonzero(spectrum.converged_mask)
-    if len(idx) == 0:
-        return state
-    block = spectrum.vectors[:, idx] / np.sqrt(np.abs(spectrum.values[idx]))
-    tags = [("ritz", system_index, float(spectrum.values[i])) for i in idx]
+    values = spectrum.values[spectrum.converged_mask]
+    if spectrum.vectors.shape[1] != len(values):
+        raise ContractViolation("spectrum needs one vector per flagged value")
+    block = spectrum.vectors / np.sqrt(np.abs(values))
+    tags = [("ritz", system_index, float(theta)) for theta in values]
     state.append(block, tags)
     return state
 
 
-def flag_spectrum(tridiag, spectrum, strategy: RecycleStrategy):
-    """Stagnation selection (+ cluster filter) on the values of ``spectrum``,
-    the Ritz spectrum of ``tridiag``; needs no Ritz vectors."""
-    m = spectrum.m
-    if m < 2:
-        return select_converged(spectrum, np.empty(0), strategy.epsilon)
-    prev = tridiag_eig(tridiag.truncated(m - 1)).values
-    spectrum = select_converged(spectrum, prev, strategy.epsilon)
-    if strategy.kind == SRKS_CLUSTER:
-        preselected = int(spectrum.converged_mask.sum())
-        if preselected > 0:
-            min_cluster = strategy.min_cluster or max(1, math.ceil(preselected / 5))
-            external = np.zeros(m, dtype=bool)
-            external[cluster_filter(spectrum.values, min_cluster)] = True
-            spectrum = replace(spectrum, converged_mask=spectrum.converged_mask & external)
-    return spectrum
+def flag_spectrum(tridiag, values, strategy: RecycleStrategy):
+    """Boolean mask of the Ritz ``values`` of ``tridiag`` that the strategy
+    keeps: stagnation against the m-1 spectrum, ANDed for ``srks_cluster``
+    with the values outside the central cluster.  Needs no Ritz vectors."""
+    m = len(values)
+    prev = tridiag_eig(tridiag.truncated(m - 1)).values if m >= 2 else np.empty(0)
+    mask = select_converged(values, prev, strategy.epsilon)
+    if strategy.kind == SRKS_CLUSTER and mask.any():
+        min_cluster = strategy.min_cluster or max(1, math.ceil(mask.sum() / 5))
+        external = np.zeros(m, dtype=bool)
+        external[cluster_filter(values, min_cluster)] = True
+        mask &= external
+    return mask
 
 
 def select_spectrum(trace: SolveTrace, strategy: RecycleStrategy):
-    """Ritz extraction + stagnation selection (+ cluster filter) for one trace."""
+    """Ritz values of one trace, flagged by ``flag_spectrum``, with the Ritz
+    vectors of the flagged values only."""
     view = lanczos_from_trace(trace)
-    return flag_spectrum(view.tridiag, ritz_pairs(view), strategy)
+    return ritz_pairs(view, lambda values: flag_spectrum(view.tridiag, values, strategy))
 
 
 def run_sequence(systems, M_factory, strategy: RecycleStrategy,

@@ -4,10 +4,11 @@ Spectral post-processing of conjugate gradient traces.
 The CG coefficients of one solve determine the Lanczos tridiagonal of the
 projected preconditioned operator; its eigenpairs (Ritz pairs) approximate
 eigenpairs of that operator.  This module rebuilds the tridiagonal and the
-Lanczos basis from a trace, computes Ritz pairs, detects converged Ritz
-values by stagnation against the one-step-shorter spectrum, isolates the
-external part of the spectrum with a piecewise-constant gap model, and
-evaluates the iteration-count predictors used as diagnostics.
+Lanczos basis from a trace, computes Ritz values and forms Ritz vectors only
+for the values a selection keeps, flags converged values (a boolean mask) by
+stagnation against the one-step-shorter spectrum, isolates the external
+part of the spectrum with a piecewise-constant gap model, and evaluates
+the iteration-count predictors used as diagnostics.
 """
 from __future__ import annotations
 
@@ -37,12 +38,12 @@ class LanczosView:
 
 @dataclass(frozen=True)
 class RitzSpectrum:
-    """Ritz values (descending) with vectors and per-value convergence flags."""
+    """Ritz values (descending) with one vector per value or, when
+    ``converged_mask`` is set, one vector per flagged value only."""
 
     values: np.ndarray
     vectors: np.ndarray
     converged_mask: np.ndarray | None = None
-    epsilon: float | None = None
 
     @property
     def m(self):
@@ -94,14 +95,21 @@ def lanczos_from_trace(trace: SolveTrace) -> LanczosView:
     return LanczosView(T, basis)
 
 
-def ritz_pairs(view: LanczosView) -> RitzSpectrum:
-    """Ritz values (descending) and vectors Y = V Q of a Lanczos view."""
+def ritz_pairs(view: LanczosView, flag=None) -> RitzSpectrum:
+    """Ritz values (descending) and vectors Y = V Q of a Lanczos view.
+
+    ``flag`` maps the values to a boolean mask; when given, only the
+    flagged columns ``V Q[:, mask]`` are formed and the mask is kept on the
+    spectrum.  Without it all m vectors are formed.
+    """
     eig = tridiag_eig(view.tridiag)
-    return RitzSpectrum(eig.values, view.basis @ eig.vectors)
+    mask = None if flag is None else flag(eig.values)
+    Q = eig.vectors if mask is None else eig.vectors[:, mask]
+    return RitzSpectrum(eig.values, view.basis @ Q, mask)
 
 
-def select_converged(current: RitzSpectrum, previous_values, epsilon) -> RitzSpectrum:
-    """Flag Ritz values that stagnated between steps m-1 and m.
+def select_converged(values, previous_values, epsilon) -> np.ndarray:
+    """Boolean mask of the Ritz values that stagnated between steps m-1 and m.
 
     Both spectra must be sorted descending; value j of the current spectrum
     is flagged when it stayed within ``epsilon`` relative of value j of the
@@ -112,30 +120,23 @@ def select_converged(current: RitzSpectrum, previous_values, epsilon) -> RitzSpe
     """
     if epsilon <= 0.0:
         raise ContractViolation("epsilon must be positive")
-    cur = np.asarray(current.values, dtype=np.float64)
+    cur = np.asarray(values, dtype=np.float64)
     prev = np.asarray(previous_values, dtype=np.float64)
     m = len(cur)
     mask = np.zeros(m, dtype=bool)
     if m >= 2:
         if len(prev) != m - 1:
             raise ContractViolation("previous spectrum must have m - 1 values")
-        for j in range(m - 1):
-            if abs(cur[j] - prev[j]) <= epsilon * abs(cur[j]):
-                mask[j] = True
-            if abs(cur[j + 1] - prev[j]) <= epsilon * abs(cur[j + 1]):
-                mask[j + 1] = True
+        mask[:-1] = np.abs(cur[:-1] - prev) <= epsilon * np.abs(cur[:-1])
+        mask[1:] |= np.abs(cur[1:] - prev) <= epsilon * np.abs(cur[1:])
         # coalesce degenerate multiples onto the first index of each group
-        for j in range(1, m):
-            denom = max(abs(cur[j - 1]), abs(cur[j]))
-            if denom > 0 and abs(cur[j - 1] - cur[j]) < DEGENERATE_GAP * denom:
-                if mask[j]:
-                    first = j - 1
-                    while first > 0 and abs(cur[first - 1] - cur[first]) < \
-                            DEGENERATE_GAP * max(abs(cur[first - 1]), abs(cur[first])):
-                        first -= 1
-                    mask[first] = True
-                    mask[j] = False
-    return RitzSpectrum(current.values, current.vectors, mask, float(epsilon))
+        degenerate = np.abs(np.diff(cur)) < \
+            DEGENERATE_GAP * np.maximum(np.abs(cur[:-1]), np.abs(cur[1:]))
+        firsts = np.flatnonzero(np.concatenate([[True], ~degenerate]))
+        any_flag = np.logical_or.reduceat(mask, firsts)
+        mask[:] = False
+        mask[firsts] = any_flag
+    return mask
 
 
 def cluster_filter(values, min_cluster):

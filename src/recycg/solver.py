@@ -165,12 +165,12 @@ class SolveTrace:
     directions: np.ndarray | None = None
 
     def to_json_dict(self, spectrum=None, eps_cg=None):
+        """The coefficients and residual norms; no Krylov vectors are written."""
         d = {
             "alphas": list(map(float, self.alphas)),
             "betas": list(map(float, self.betas)),
             "rz_inner": list(map(float, self.rz_inner)),
             "residual_norms": list(map(float, self.residual_norms)),
-            "z_history": [list(map(float, z)) for z in self.z_history],
             "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -187,7 +187,6 @@ class SolveTrace:
             betas=list(d.get("betas", [])),
             rz_inner=list(d.get("rz_inner", [])),
             residual_norms=list(d.get("residual_norms", [])),
-            z_history=[np.asarray(z, dtype=np.float64) for z in d.get("z_history", [])],
             iterations=int(d.get("iterations", len(d.get("alphas", [])))),
             converged=bool(d.get("converged", False)),
         )

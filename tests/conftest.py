@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from recycg import SparseSpdMatrix
+from recycg import (Preconditioner, SolveConfig, SparseSpdMatrix, apcg_solve,
+                    benchmark_spec, build_deflation, generate_diffusion_sequence)
+
+# the property tests draw the same examples on every run, so a failure
+# reproduces and the suite does not flake
+settings.register_profile("recycg", derandomize=True)
+settings.load_profile("recycg")
 
 
 def random_spd(n, rng, condition=100.0):
@@ -28,6 +35,16 @@ def residual_history(A, b, x0, trace):
         R.append(r)
         r = r - alpha * (A @ w)
     return np.column_stack(R)
+
+
+def benchmark_trace():
+    """A plain Jacobi-preconditioned, reorthogonalized solve at tol 1e-6 of
+    the first system of the 16x16 benchmark sequence."""
+    (A, b), = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1)
+    D = build_deflation(A, np.zeros((A.n, 0)))
+    _, trace = apcg_solve(A, Preconditioner.jacobi(A), D, b,
+                          SolveConfig(tol=1e-6, max_iters=500))
+    return trace
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import pytest
 from recycg import read_matrix_market
 from recycg.cli import (CSV_HEADER, ConfigError, ExperimentConfig, cli_gen,
                         cli_inspect, cli_run, main, problem_spec_from_dict)
+from conftest import benchmark_trace
 
 
 SMALL_CONFIG = """\
@@ -181,16 +182,11 @@ def test_inspect_trace(tmp_path):
 
 
 def test_inspect_keeps_the_runs_selection(tmp_path):
-    from recycg import (Preconditioner, RecycleStrategy, SolveConfig,
-                        apcg_solve, build_deflation, generate_diffusion_sequence)
-    from recycg.problems import benchmark_spec
+    from recycg import RecycleStrategy
     from recycg.recycle import select_spectrum
     # a trace on which the cluster size ceil(m / 5) over all m Ritz values
     # splits the spectrum differently from the run's ceil(preselected / 5)
-    (A, b), = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1)
-    D = build_deflation(A, np.zeros((A.n, 0)))
-    _, trace = apcg_solve(A, Preconditioner.jacobi(A), D, b,
-                          SolveConfig(tol=1e-6, max_iters=500))
+    trace = benchmark_trace()
     strategy = RecycleStrategy("srks_cluster", epsilon=1e-14)
     expected = np.flatnonzero(select_spectrum(trace, strategy).converged_mask)
     assert 0 < len(expected)
@@ -273,6 +269,19 @@ def test_main_files_problem_round_trip(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     lines = (out / "runs.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("problem:\n  kind: files\n  rhs: b.mtx\n  matrices: [A_000.mtx]\ncount: 1\n",
+     "gen needs a generated problem"),
+    ("- grid: [4, 4]\n", "spec must be a mapping"),
+], ids=["files", "not-a-mapping"])
+def test_gen_config_errors_exit_2(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text)
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "seq")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "seq").exists()
 
 
 def test_main_bad_config_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 """Sequence-driver tests: basis accumulation, rank guarding, restart,
 strategy behavior on constant and varying operator sequences."""
 import weakref
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -11,9 +12,10 @@ from recycg import (AugmentationState, ContractViolation, Preconditioner,
                     build_deflation, run_sequence, subspace_overlap,
                     update_basis_srks, update_basis_trks)
 from recycg import recycle
-from recycg.recycle import guarded_deflation, select_spectrum
+from recycg.recycle import flag_spectrum, guarded_deflation, select_spectrum
+from recycg.ritz import lanczos_from_trace, ritz_pairs
 from recycg.solver import SolveTrace
-from conftest import random_spd_matrix
+from conftest import benchmark_trace, random_spd_matrix
 
 
 def constant_sequence(A, b, count):
@@ -37,6 +39,8 @@ def test_strategy_validation():
         RecycleStrategy("srks", epsilon=0.0)
     with pytest.raises(ContractViolation):
         RecycleStrategy("trks", nc_limit=-1)
+    with pytest.raises(ContractViolation):
+        RecycleStrategy("srks_cluster", min_cluster=-1)
 
 
 def test_augmentation_state_bookkeeping(rng):
@@ -131,7 +135,6 @@ def test_srks_no_flags_is_noop(rng):
 def test_srks_requires_mask(rng):
     A = random_spd_matrix(6, rng)
     _, trace = solve_once(A, rng.standard_normal(6))
-    from recycg import lanczos_from_trace, ritz_pairs
     spectrum = ritz_pairs(lanczos_from_trace(trace))
     with pytest.raises(ContractViolation):
         update_basis_srks(AugmentationState.from_initial(6), spectrum)
@@ -154,6 +157,60 @@ def test_srks_constant_operator_coarse_identity(rng):
     update_basis_srks(state, spectrum)
     coarse = state.basis.T @ (A @ state.basis)
     np.testing.assert_allclose(coarse, np.eye(state.n_c), atol=1e-8)
+
+
+def full_spectrum_selection(trace, strategy):
+    """The original path, kept as the reference: flag on the full spectrum
+    with all m Ritz vectors formed, then slice the flagged columns."""
+    view = lanczos_from_trace(trace)
+    full = ritz_pairs(view)
+    mask = flag_spectrum(view.tridiag, full.values, strategy)
+    return mask, full.vectors[:, mask]
+
+
+def assert_same_selection(trace, strategy):
+    mask, vectors = full_spectrum_selection(trace, strategy)
+    spectrum = select_spectrum(trace, strategy)
+    np.testing.assert_array_equal(spectrum.converged_mask, mask)
+    assert spectrum.vectors.shape == vectors.shape
+    for got, want in zip(spectrum.vectors.T, vectors.T):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    return int(mask.sum())
+
+
+STRATEGIES = [RecycleStrategy("srks", epsilon=1e-6),
+              RecycleStrategy("srks", epsilon=1e-10),
+              RecycleStrategy("srks", epsilon=1e-14),
+              RecycleStrategy("srks_cluster", epsilon=1e-10)]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES,
+                         ids=["srks6", "srks10", "srks14", "cluster10"])
+def test_selection_forms_only_kept_vectors(rng, strategy):
+    kept = 0
+    for n, condition in ((20, 1e2), (40, 1e3), (60, 1e4)):
+        A = random_spd_matrix(n, rng, condition=condition)
+        _, trace = solve_once(A, rng.standard_normal(n), tol=1e-10)
+        kept += assert_same_selection(trace, strategy)
+    assert kept > 0
+
+
+@pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
+def test_selection_forms_only_kept_vectors_on_benchmark_trace(kind):
+    assert assert_same_selection(benchmark_trace(),
+                                 RecycleStrategy(kind, epsilon=1e-14)) > 0
+
+
+def test_srks_rejects_vectors_of_unflagged_values(rng):
+    A = random_spd_matrix(20, rng)
+    _, trace = solve_once(A, rng.standard_normal(20))
+    view = lanczos_from_trace(trace)
+    full = ritz_pairs(view)
+    mask = flag_spectrum(view.tridiag, full.values, RecycleStrategy("srks", epsilon=1e-6))
+    assert 0 < mask.sum() < len(mask)
+    with pytest.raises(ContractViolation):
+        update_basis_srks(AugmentationState.from_initial(20),
+                          replace(full, converged_mask=mask))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recycg import (ContractViolation, NumericalFailure, Preconditioner,
-                    RitzSpectrum, SolveConfig, SparseSpdMatrix, apcg_solve,
+                    SolveConfig, SparseSpdMatrix, apcg_solve,
                     build_deflation, cluster_filter, dense_sym_eig,
                     instantaneous_rate, lanczos_from_trace, lanczos_tridiag,
                     predict_iterations, ritz_pairs, select_converged,
@@ -137,47 +137,39 @@ def test_interlacing_along_a_run(rng):
 # stagnation selection
 
 
-def _spectrum(values):
-    values = np.asarray(values, dtype=np.float64)
-    return RitzSpectrum(values, np.eye(len(values)))
-
-
 def test_select_exact_stagnation_flags_heads():
-    cur = _spectrum([9.0, 5.0, 2.0, 1.0])
-    out = select_converged(cur, [9.0, 5.0, 2.0], epsilon=1e-12)
+    mask = select_converged([9.0, 5.0, 2.0, 1.0], [9.0, 5.0, 2.0], epsilon=1e-12)
     # every previous value reappears exactly -> flagged from above
-    assert list(out.converged_mask) == [True, True, True, False]
+    assert mask.dtype == bool
+    assert list(mask) == [True, True, True, False]
 
 
 def test_select_shifted_spectrum_flags_nothing():
-    cur = _spectrum([9.0, 5.0, 2.0])
-    out = select_converged(cur, [9.9, 5.5], epsilon=1e-6)
-    assert not out.converged_mask.any()
+    mask = select_converged([9.0, 5.0, 2.0], [9.9, 5.5], epsilon=1e-6)
+    assert not mask.any()
 
 
 def test_select_single_value_empty_mask():
-    out = select_converged(_spectrum([3.0]), [], epsilon=1e-6)
-    assert out.m == 1 and not out.converged_mask.any()
+    mask = select_converged([3.0], [], epsilon=1e-6)
+    assert len(mask) == 1 and not mask.any()
 
 
 def test_select_convergence_from_below():
     # previous value 1.0 persists as the *last* current value
-    cur = _spectrum([9.0, 4.0, 1.0])
-    out = select_converged(cur, [6.0, 1.0], epsilon=1e-12)
-    assert list(out.converged_mask) == [False, False, True]
+    mask = select_converged([9.0, 4.0, 1.0], [6.0, 1.0], epsilon=1e-12)
+    assert list(mask) == [False, False, True]
 
 
 def test_select_requires_matching_sizes():
     with pytest.raises(ContractViolation):
-        select_converged(_spectrum([2.0, 1.0]), [2.0, 1.5], epsilon=1e-6)
+        select_converged([2.0, 1.0], [2.0, 1.5], epsilon=1e-6)
     with pytest.raises(ContractViolation):
-        select_converged(_spectrum([2.0, 1.0]), [2.0], epsilon=0.0)
+        select_converged([2.0, 1.0], [2.0], epsilon=0.0)
 
 
 def test_select_coalesces_degenerate_multiples():
-    cur = _spectrum([5.0, 5.0 * (1.0 + 1e-15), 1.0])
-    out = select_converged(cur, [5.0, 5.0], epsilon=1e-12)
-    mask = out.converged_mask
+    mask = select_converged([5.0, 5.0 * (1.0 + 1e-15), 1.0], [5.0, 5.0],
+                            epsilon=1e-12)
     assert mask[0] and not mask[1]
 
 
@@ -191,12 +183,11 @@ def test_isolated_high_value_converges_first():
     view = lanczos_from_trace(trace)
     first_flag = {}
     for m in range(2, view.m + 1):
-        cur = tridiag_eig(view.tridiag.truncated(m))
+        cur = tridiag_eig(view.tridiag.truncated(m)).values
         prev = tridiag_eig(view.tridiag.truncated(m - 1)).values
-        sel = select_converged(RitzSpectrum(cur.values, cur.vectors), prev,
-                               epsilon=1e-8)
-        for j in np.flatnonzero(sel.converged_mask):
-            key = round(float(sel.values[j]), 3)
+        mask = select_converged(cur, prev, epsilon=1e-8)
+        for j in np.flatnonzero(mask):
+            key = round(float(cur[j]), 3)
             first_flag.setdefault(key, m)
     near_100 = min(first_flag.items(), key=lambda kv: abs(kv[0] - 100.0))
     interior = [m for v, m in first_flag.items() if 1.5 < v < 50.0]
@@ -209,9 +200,48 @@ def test_isolated_high_value_converges_first():
 def test_select_monotone_in_epsilon(values):
     cur = np.sort(np.asarray(values))[::-1]
     prev = cur[:-1] * 1.0000003
-    small = select_converged(_spectrum(cur), prev, 1e-7).converged_mask
-    large = select_converged(_spectrum(cur), prev, 1e-5).converged_mask
+    small = select_converged(cur, prev, 1e-7)
+    large = select_converged(cur, prev, 1e-5)
     assert np.all(large[small])  # flagged at small epsilon -> flagged at large
+
+
+def loop_select_converged(cur, prev, epsilon):
+    """The original per-index loops, kept as the reference."""
+    m = len(cur)
+    mask = np.zeros(m, dtype=bool)
+    for j in range(m - 1):
+        if abs(cur[j] - prev[j]) <= epsilon * abs(cur[j]):
+            mask[j] = True
+        if abs(cur[j + 1] - prev[j]) <= epsilon * abs(cur[j + 1]):
+            mask[j + 1] = True
+    for j in range(1, m):
+        denom = max(abs(cur[j - 1]), abs(cur[j]))
+        if denom > 0 and abs(cur[j - 1] - cur[j]) < 1e-12 * denom and mask[j]:
+            first = j - 1
+            while first > 0 and abs(cur[first - 1] - cur[first]) < \
+                    1e-12 * max(abs(cur[first - 1]), abs(cur[first])):
+                first -= 1
+            mask[first] = True
+            mask[j] = False
+    return mask
+
+
+# runs of (near-)equal values, so degenerate groups and exact stagnation occur
+select_inputs = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0, 2.5, 40.0, 41.0, 900.0]),
+              st.sampled_from([0.0, 1e-15, 1e-13, 1e-9]), st.integers(1, 4)),
+    min_size=1, max_size=8)
+
+
+@given(select_inputs, st.sampled_from([0.5, 1.0, 1.0 + 1e-10]),
+       st.sampled_from([1e-14, 1e-8, 1e-2]))
+@settings(max_examples=200, deadline=None)
+def test_select_matches_loop(groups, shift, epsilon):
+    cur = np.sort(np.concatenate(
+        [v + 1.0 + v * d * np.arange(k) for v, d, k in groups]))[::-1]
+    prev = cur[1:] * shift if len(cur) % 2 else cur[:-1] * shift
+    np.testing.assert_array_equal(select_converged(cur, prev, epsilon),
+                                  loop_select_converged(cur, prev, epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,10 @@ def test_trace_json_round_trip(rng):
     np.testing.assert_allclose(back.betas, trace.betas)
     assert d["spectrum"] == [1.0, 2.0]
     assert d["eps_cg"] == 1e-6
+    # the Krylov vectors stay out of the artifact; an old artifact's are ignored
+    assert trace.z_history and "z_history" not in d
+    old = SolveTrace.from_json_dict({**d, "z_history": [[1.0] * 10]})
+    assert old.z_history == [] and old.alphas == back.alphas
 
 
 # ---------------------------------------------------------------------------

@@ -44,3 +44,14 @@ def test_tracer_installs_and_restores(tracer_module, rng):
             "ritz.lanczos", "ritz.select_converged", "ritz.cluster_filter",
             "ritz.prev_spectrum"} <= names
     assert tr.kernel_total("core.spmv")[0] > 0
+
+
+def test_tracer_counts_only_kept_ritz_vectors(tracer_module, rng):
+    tr = tracer_module.Tracer()
+    A = random_spd_matrix(30, rng)
+    systems = [(A, rng.standard_normal(30)) for _ in range(2)]
+    with tr.installed():
+        run_sequence(systems, lambda A: Preconditioner.identity(),
+                     RecycleStrategy("srks_cluster", epsilon=1e-6),
+                     SolveConfig(tol=1e-8, max_iters=100))
+    assert tr.counts["ritz.vectors_formed"] == tr.counts["ritz.vectors_kept"] > 0
