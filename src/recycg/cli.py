@@ -46,6 +46,24 @@ class ConfigError(ValueError):
     pass
 
 
+def load_yaml_mapping(path, what):
+    """The YAML mapping in ``path``; a file that cannot be read, malformed
+    YAML or a document that is not a mapping raise a one-line ConfigError."""
+    path = Path(path)
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark else "?"
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{path}:{line}: {problem}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: {what} must be a mapping")
+    return raw
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment grid."""
@@ -63,14 +81,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path):
         path = Path(path)
-        try:
-            raw = yaml.safe_load(path.read_text())
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = mark.line + 1 if mark else "?"
-            raise ConfigError(f"{path}:{line}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a mapping")
+        raw = load_yaml_mapping(path, "config")
         try:
             problem = dict(raw["problem"])
             strategies, names = [], []
@@ -253,7 +264,7 @@ def _inspect_trace(artifact, stream):
     if m < 1:
         return 0
     # the run's own selection, on the values alone: a saved trace does not
-    # carry the z_j that Ritz vectors are built from
+    # carry the search directions that Ritz vectors are built from
     T = lanczos_tridiag(trace.alphas[:m], trace.betas[:m - 1])
     values = tridiag_eig(T).values
     epsilon = float(artifact.get("epsilon", 1e-6))
@@ -296,9 +307,7 @@ def cli_inspect(path, stream=None):
 
 def cli_gen(spec_path, out_dir):
     """Write a generated sequence as Matrix Market files; returns exit status."""
-    raw = yaml.safe_load(Path(spec_path).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{spec_path}: spec must be a mapping")
+    raw = load_yaml_mapping(spec_path, "spec")
     problem = raw.get("problem", raw)
     count = int(raw.get("count", problem.get("count", 1)))
     spec = problem_spec_from_dict(problem)

@@ -7,9 +7,9 @@ initialization solves the coarse problem exactly, so the residual stays
 C-orthogonal throughout; full reorthogonalization of the search directions
 against a stored block is on unless the configuration turns it off.  The
 trace records the coefficients and residual norms of every iteration; a
-reorthogonalized solve also keeps the preconditioned residuals for spectral
-post-processing and hands its direction block over as the trace's search
-directions.
+reorthogonalized solve also hands its direction block over as the trace's
+search directions, its only Krylov store, and keeps the sweep coefficients
+from which spectral post-processing recombines the preconditioned residuals.
 """
 from __future__ import annotations
 
@@ -126,7 +126,7 @@ class SolveConfig:
 
     ``reorthogonalize`` sweeps each new search direction against all stored
     ones in the A-inner product and keeps what Krylov recycling reads: the
-    preconditioned residuals and the stored direction block.  ``run_sequence``
+    stored direction block and the sweep coefficients.  ``run_sequence``
     sets it from the strategy: off for ``none``, which reuses nothing, and on
     for the recycling strategies, whose reused directions and Ritz vectors
     depend on orthogonality.
@@ -150,16 +150,20 @@ class SolveTrace:
     ``betas[j]`` is the positive Gram-Schmidt ratio (r_{j+1}, z_{j+1}) /
     (r_j, z_j) coupling directions j and j+1, so the Lanczos tridiagonal can
     be rebuilt from ``alphas``/``betas`` alone.  A reorthogonalized solve
-    fills ``z_history`` with the projected preconditioned residuals z_j and
     sets ``directions`` to its (m, n) block of search directions, one per
-    row; otherwise ``z_history`` stays empty and ``directions`` None.
+    row, and fills ``sweeps`` with the coefficients c_j of each sweep,
+    w_j = z_j + beta_{j-1} w_{j-1} - c_j @ directions[:j], from which
+    ``ritz.lanczos_from_trace`` recovers the projected preconditioned
+    residuals z_j; otherwise ``directions`` stays None and ``sweeps`` empty.
+    A run stopped by the iteration cap has m betas and m sweeps, the last of
+    each for a direction that was never used.
     """
 
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)
     rz_inner: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
-    z_history: list = field(default_factory=list)
+    sweeps: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     directions: np.ndarray | None = None
@@ -247,8 +251,6 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
 
         trace.alphas.append(alpha)
         trace.rz_inner.append(rz)
-        if cfg.reorthogonalize:
-            trace.z_history.append(z)
 
         x = x + alpha * w
         r = r - alpha * Aw
@@ -281,8 +283,11 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         trace.betas.append(beta)
         w = z + beta * w
         if cfg.reorthogonalize:
-            # one sweep against all stored directions in the A-inner product
-            w -= ((AW[:stored] @ w) / wAw_diag[:stored]) @ W[:stored]
+            # one sweep against all stored directions in the A-inner product;
+            # its coefficients recover z_j from the directions (ritz.py)
+            c = (AW[:stored] @ w) / wAw_diag[:stored]
+            w -= c @ W[:stored]
+            trace.sweeps.append(c)
         rz = rz_next
 
     if cfg.reorthogonalize:

@@ -37,14 +37,23 @@ def residual_history(A, b, x0, trace):
     return np.column_stack(R)
 
 
-def benchmark_trace():
-    """A plain Jacobi-preconditioned, reorthogonalized solve at tol 1e-6 of
-    the first system of the 16x16 benchmark sequence."""
+def preconditioned_residuals(A, b, M, D, trace):
+    """The exact z_j = P M^{-1} r_j of a reorthogonalized solve with
+    preconditioner ``M`` and deflation operator ``D``, as columns, computed
+    as the solver computes them from :func:`residual_history`."""
+    R = residual_history(A, b, D.initial_guess(b), trace)
+    return np.column_stack([D.project(M.apply(r)) for r in np.ascontiguousarray(R.T)])
+
+
+def benchmark_solve():
+    """``(A, b, M, D, trace)`` of a plain Jacobi-preconditioned,
+    reorthogonalized solve at tol 1e-6 of the first system of the 16x16
+    benchmark sequence."""
     (A, b), = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1)
+    M = Preconditioner.jacobi(A)
     D = build_deflation(A, np.zeros((A.n, 0)))
-    _, trace = apcg_solve(A, Preconditioner.jacobi(A), D, b,
-                          SolveConfig(tol=1e-6, max_iters=500))
-    return trace
+    _, trace = apcg_solve(A, M, D, b, SolveConfig(tol=1e-6, max_iters=500))
+    return A, b, M, D, trace
 
 
 @pytest.fixture

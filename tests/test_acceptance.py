@@ -19,7 +19,7 @@ from recycg import (Preconditioner, RecycleStrategy, SolveConfig,
 from recycg.cli import cli_run
 from recycg.problems import benchmark_spec
 from recycg.recycle import AugmentationState, select_spectrum
-from conftest import residual_history
+from conftest import preconditioned_residuals, residual_history
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "fixtures" / "benchmark_pilot.json").read_text())
@@ -62,8 +62,9 @@ def test_criterion_1_orthogonality(capsys):
         if not trace.converged or m < 2:
             continue
         converged_runs += 1
-        Z = np.column_stack(trace.z_history[:m])
         R = residual_history(A, b, np.zeros(n), trace)
+        Z = preconditioned_residuals(A, b, Preconditioner.identity(),
+                                     build_deflation(A, np.zeros((n, 0))), trace)
         cross = np.abs(R.T @ Z) / np.outer(np.linalg.norm(R, axis=0),
                                            np.linalg.norm(Z, axis=0))
         np.fill_diagonal(cross, 0.0)

@@ -9,7 +9,7 @@ import pytest
 from recycg import read_matrix_market
 from recycg.cli import (CSV_HEADER, ConfigError, ExperimentConfig, cli_gen,
                         cli_inspect, cli_run, main, problem_spec_from_dict)
-from conftest import benchmark_trace
+from conftest import benchmark_solve
 
 
 SMALL_CONFIG = """\
@@ -186,7 +186,7 @@ def test_inspect_keeps_the_runs_selection(tmp_path):
     from recycg.recycle import select_spectrum
     # a trace on which the cluster size ceil(m / 5) over all m Ritz values
     # splits the spectrum differently from the run's ceil(preselected / 5)
-    trace = benchmark_trace()
+    *_, trace = benchmark_solve()
     strategy = RecycleStrategy("srks_cluster", epsilon=1e-14)
     expected = np.flatnonzero(select_spectrum(trace, strategy).converged_mask)
     assert 0 < len(expected)
@@ -275,13 +275,24 @@ def test_main_files_problem_round_trip(tmp_path):
     ("problem:\n  kind: files\n  rhs: b.mtx\n  matrices: [A_000.mtx]\ncount: 1\n",
      "gen needs a generated problem"),
     ("- grid: [4, 4]\n", "spec must be a mapping"),
-], ids=["files", "not-a-mapping"])
+    (None, "cannot read spec"),
+    ("problem: {grid: [4, 4]\ncount: 1\n", "spec.yaml:2: "),
+], ids=["files", "not-a-mapping", "missing", "malformed"])
 def test_gen_config_errors_exit_2(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.yaml"
-    spec.write_text(text)
+    if text is not None:
+        spec.write_text(text)
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "seq")]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not (tmp_path / "seq").exists()
+
+
+def test_run_missing_config_exit_2(tmp_path, capsys):
+    missing = tmp_path / "nope.yaml"
+    assert main(["run", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"{missing}: cannot read config" in err and err.count("\n") == 1
 
 
 def test_main_bad_config_exit_code(tmp_path):

@@ -9,13 +9,14 @@ import pytest
 
 from recycg import (AugmentationState, ContractViolation, Preconditioner,
                     RecycleStrategy, SolveConfig, SparseSpdMatrix, apcg_solve,
-                    build_deflation, run_sequence, subspace_overlap,
-                    update_basis_srks, update_basis_trks)
+                    build_deflation, lanczos_tridiag, run_sequence,
+                    subspace_overlap, tridiag_eig, update_basis_srks,
+                    update_basis_trks)
 from recycg import recycle
 from recycg.recycle import flag_spectrum, guarded_deflation, select_spectrum
 from recycg.ritz import lanczos_from_trace, ritz_pairs
 from recycg.solver import SolveTrace
-from conftest import benchmark_trace, random_spd_matrix
+from conftest import benchmark_solve, preconditioned_residuals, random_spd_matrix
 
 
 def constant_sequence(A, b, count):
@@ -159,18 +160,22 @@ def test_srks_constant_operator_coarse_identity(rng):
     np.testing.assert_allclose(coarse, np.eye(state.n_c), atol=1e-8)
 
 
-def full_spectrum_selection(trace, strategy):
-    """The original path, kept as the reference: flag on the full spectrum
-    with all m Ritz vectors formed, then slice the flagged columns."""
-    view = lanczos_from_trace(trace)
-    full = ritz_pairs(view)
-    mask = flag_spectrum(view.tridiag, full.values, strategy)
-    return mask, full.vectors[:, mask]
+def full_spectrum_selection(A, b, M, D, trace, strategy):
+    """The reference, independent of ``lanczos_from_trace``: the Lanczos
+    basis from the exact z_j of the solve, flagged on the full spectrum,
+    with the Ritz vectors of the flagged values."""
+    m = trace.iterations
+    Z = preconditioned_residuals(A, b, M, D, trace)
+    V = Z * ((-1.0) ** np.arange(m) / np.sqrt(np.asarray(trace.rz_inner[:m])))
+    T = lanczos_tridiag(trace.alphas[:m], trace.betas[:m - 1])
+    eig = tridiag_eig(T)
+    mask = flag_spectrum(T, eig.values, strategy)
+    return mask, V @ eig.vectors[:, mask]
 
 
-def assert_same_selection(trace, strategy):
-    mask, vectors = full_spectrum_selection(trace, strategy)
-    spectrum = select_spectrum(trace, strategy)
+def assert_same_selection(solve, strategy):
+    mask, vectors = full_spectrum_selection(*solve, strategy)
+    spectrum = select_spectrum(solve[-1], strategy)
     np.testing.assert_array_equal(spectrum.converged_mask, mask)
     assert spectrum.vectors.shape == vectors.shape
     for got, want in zip(spectrum.vectors.T, vectors.T):
@@ -178,27 +183,51 @@ def assert_same_selection(trace, strategy):
     return int(mask.sum())
 
 
-STRATEGIES = [RecycleStrategy("srks", epsilon=1e-6),
+def reference_solve(A, b, M, C, **cfg_kwargs):
+    D = build_deflation(A, C)
+    _, trace = apcg_solve(A, M, D, b, SolveConfig(**cfg_kwargs))
+    return A, b, M, D, trace
+
+
+STRATEGIES = [RecycleStrategy("srks", epsilon=1e-2),
+              RecycleStrategy("srks", epsilon=1e-4),
+              RecycleStrategy("srks", epsilon=1e-6),
               RecycleStrategy("srks", epsilon=1e-10),
               RecycleStrategy("srks", epsilon=1e-14),
+              RecycleStrategy("srks_cluster", epsilon=1e-2),
               RecycleStrategy("srks_cluster", epsilon=1e-10)]
+STRATEGY_IDS = ["srks2", "srks4", "srks6", "srks10", "srks14", "cluster2", "cluster10"]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES,
-                         ids=["srks6", "srks10", "srks14", "cluster10"])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
 def test_selection_forms_only_kept_vectors(rng, strategy):
     kept = 0
     for n, condition in ((20, 1e2), (40, 1e3), (60, 1e4)):
         A = random_spd_matrix(n, rng, condition=condition)
-        _, trace = solve_once(A, rng.standard_normal(n), tol=1e-10)
-        kept += assert_same_selection(trace, strategy)
+        solve = reference_solve(A, rng.standard_normal(n), Preconditioner.identity(),
+                                np.zeros((n, 0)), tol=1e-10, max_iters=500)
+        kept += assert_same_selection(solve, strategy)
     assert kept > 0
 
 
 @pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
 def test_selection_forms_only_kept_vectors_on_benchmark_trace(kind):
-    assert assert_same_selection(benchmark_trace(),
+    assert assert_same_selection(benchmark_solve(),
                                  RecycleStrategy(kind, epsilon=1e-14)) > 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
+def test_selection_forms_only_kept_vectors_on_trace_stopped_by_cap(rng, strategy):
+    # the last iteration still computed a beta and a sweep for a direction
+    # that was never used; with n_c 5 the z_j are projected
+    n = 60
+    A = random_spd_matrix(n, rng, condition=1e4)
+    solve = reference_solve(A, rng.standard_normal(n), Preconditioner.jacobi(A),
+                            rng.standard_normal((n, 5)), tol=1e-10, max_iters=25)
+    trace = solve[-1]
+    assert not trace.converged and trace.iterations == 25
+    assert len(trace.betas) == len(trace.sweeps) == 25
+    assert assert_same_selection(solve, strategy) > 0
 
 
 def test_srks_rejects_vectors_of_unflagged_values(rng):

@@ -6,7 +6,8 @@ import pytest
 from recycg import (ContractViolation, NumericalFailure, Preconditioner,
                     SolveConfig, SolveTrace, SparseSpdMatrix, apcg_solve,
                     build_deflation, dense_sym_eig)
-from conftest import random_spd, random_spd_matrix, residual_history
+from conftest import (preconditioned_residuals, random_spd, random_spd_matrix,
+                      residual_history)
 
 
 def reference_cg(A, b, tol=1e-10, max_iters=500):
@@ -234,7 +235,8 @@ def test_orthogonality_across_reorthogonalization_block_growth():
     assert trace.converged and m > 128
 
     R = residual_history(A, b, np.zeros(n), trace)
-    Z = np.column_stack(trace.z_history[:m])
+    Z = preconditioned_residuals(A, b, Preconditioner.identity(),
+                                 build_deflation(A, np.zeros((n, 0))), trace)
     rz = np.abs(R.T @ Z) / np.outer(np.linalg.norm(R, axis=0),
                                     np.linalg.norm(Z, axis=0))
     np.fill_diagonal(rz, 0.0)
@@ -268,10 +270,12 @@ def test_trace_json_round_trip(rng):
     np.testing.assert_allclose(back.betas, trace.betas)
     assert d["spectrum"] == [1.0, 2.0]
     assert d["eps_cg"] == 1e-6
-    # the Krylov vectors stay out of the artifact; an old artifact's are ignored
-    assert trace.z_history and "z_history" not in d
+    # the Krylov data stays out of the artifact; an old artifact's is ignored
+    assert trace.directions is not None and trace.sweeps
+    assert "directions" not in d and "sweeps" not in d and "z_history" not in d
+    assert back.directions is None and back.sweeps == []
     old = SolveTrace.from_json_dict({**d, "z_history": [[1.0] * 10]})
-    assert old.z_history == [] and old.alphas == back.alphas
+    assert old.directions is None and old.sweeps == [] and old.alphas == back.alphas
 
 
 # ---------------------------------------------------------------------------
