@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,13 +21,11 @@ import numpy as np
 import yaml
 
 from . import recycle
-from .core import ContractViolation
-from .problems import (InclusionGridSpec, generate_diffusion_sequence,
-                       read_matrix_market, regular_inclusion_layout,
-                       write_matrix_market)
+from .core import ContractViolation, tridiag_eig
+from .problems import (InclusionGridSpec, benchmark_spec, generate_diffusion_sequence,
+                       read_matrix_market, regular_inclusion_layout, write_matrix_market)
 from .recycle import RecycleStrategy, SequenceReport, run_sequence, subspace_overlap
 from .ritz import lanczos_tridiag, predict_iterations
-from .core import tridiag_eig
 from .solver import Preconditioner, SolveConfig, SolveTrace
 
 CSV_HEADER = ("strategy,preconditioner,tol,k,iterations,n_c_before,"
@@ -40,6 +39,9 @@ STRATEGY_SHORTHAND = {
     "srks14": RecycleStrategy(recycle.SRKS, epsilon=1e-14),
     "clust14": RecycleStrategy(recycle.SRKS_CLUSTER, epsilon=1e-14),
 }
+
+PRECONDITIONERS = {"identity": lambda A: Preconditioner.identity(),
+                   "jacobi": Preconditioner.jacobi}
 
 
 class ConfigError(ValueError):
@@ -64,6 +66,40 @@ def load_yaml_mapping(path, what):
     return raw
 
 
+def config_value(path, key, value, convert, valid=lambda v: True):
+    """``convert(value)``; a value that ``convert`` rejects or whose result
+    fails ``valid`` raises a one-line ConfigError."""
+    try:
+        if valid(out := convert(value)):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{path}: bad {key} value {value!r}")
+
+
+def config_list(path, key, value, convert=lambda v: v, valid=lambda v: True):
+    """``value`` as a list of ``config_value`` items; a scalar or a string
+    is rejected instead of being iterated."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: {key} must be a list")
+    return [config_value(path, key, item, convert, valid) for item in value]
+
+
+def _strategy(path, entry):
+    """``(name, strategy)`` of a shorthand or of an inline mapping."""
+    if isinstance(entry, str) and entry in STRATEGY_SHORTHAND:
+        return entry, STRATEGY_SHORTHAND[entry]
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}: unknown strategy {entry!r}")
+    unknown = sorted(map(str, set(entry) - {"name", "kind", "epsilon"}))
+    if unknown:
+        raise ConfigError(f"{path}: unknown strategy keys {unknown}; "
+                          "an inline strategy takes name, kind and epsilon")
+    epsilon = config_value(path, "epsilon", entry.get("epsilon", RecycleStrategy.epsilon), float)
+    return (entry.get("name", entry.get("kind", "custom")),
+            RecycleStrategy(entry.get("kind", recycle.NONE), epsilon))
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment grid."""
@@ -84,31 +120,25 @@ class ExperimentConfig:
         raw = load_yaml_mapping(path, "config")
         try:
             problem = dict(raw["problem"])
-            strategies, names = [], []
-            for entry in raw["strategies"]:
-                if isinstance(entry, str):
-                    if entry not in STRATEGY_SHORTHAND:
-                        raise ConfigError(f"{path}: unknown strategy {entry!r}")
-                    strategies.append(STRATEGY_SHORTHAND[entry])
-                    names.append(entry)
-                else:
-                    entry = dict(entry)
-                    name = entry.pop("name", entry.get("kind", "custom"))
-                    strategies.append(RecycleStrategy(**entry))
-                    names.append(name)
-            if not strategies:
-                raise ConfigError(f"{path}: strategies list must be nonempty")
-            tolerances = [float(t) for t in raw["tolerances"]]
-            if not tolerances:
-                raise ConfigError(f"{path}: tolerances list must be nonempty")
-            preconds = [str(p) for p in raw.get("preconditioners", ["jacobi"])]
-            return cls(problem=problem, strategies=strategies,
-                       strategy_names=names,
+            named = [_strategy(path, entry)
+                     for entry in config_list(path, "strategies", raw["strategies"])]
+            tolerances = config_list(path, "tolerances", raw["tolerances"], float)
+            if not named or not tolerances:
+                raise ConfigError(f"{path}: strategies and tolerances must be nonempty lists")
+            preconds = config_list(path, "preconditioners",
+                                   raw.get("preconditioners", ["jacobi"]), str,
+                                   PRECONDITIONERS.__contains__)
+            count = raw.get("count", problem.get("count", 40))
+            return cls(problem=problem,
+                       strategies=[strategy for _, strategy in named],
+                       strategy_names=[name for name, _ in named],
                        preconditioners=preconds, tolerances=tolerances,
-                       max_iters=int(raw.get("max_iters", 2000)),
-                       seeds=[int(s) for s in raw.get("seeds", [0])],
+                       max_iters=config_value(path, "max_iters", raw.get("max_iters", 2000),
+                                              operator.index, lambda v: v >= 1),
+                       seeds=config_list(path, "seeds", raw.get("seeds", [0]),
+                                         operator.index, lambda v: v >= 0),
                        output_dir=Path(raw.get("output_dir", "out")),
-                       count=int(raw.get("count", raw["problem"].get("count", 40))))
+                       count=config_value(path, "count", count, operator.index, lambda v: v >= 1))
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from exc
 
@@ -118,7 +148,6 @@ def problem_spec_from_dict(problem):
     if kind == "files":
         return None
     if kind == "benchmark":
-        from .problems import benchmark_spec
         return benchmark_spec(seed=int(problem.get("seed", 0)))
     grid = tuple(problem["grid"])
     layout = problem.get("inclusion_layout")
@@ -143,21 +172,10 @@ def problem_spec_from_dict(problem):
 def _systems(config, seed):
     problem = config.problem
     if problem.get("kind", "diffusion") == "files":
-        pairs = []
         rhs = read_matrix_market(problem["rhs"])
-        for mat_path in problem["matrices"]:
-            pairs.append((read_matrix_market(mat_path), rhs))
-        return pairs
+        return [(read_matrix_market(mat_path), rhs) for mat_path in problem["matrices"]]
     spec = replace(problem_spec_from_dict(problem), seed=seed)
     return generate_diffusion_sequence(spec, config.count)
-
-
-def _preconditioner_factory(name):
-    if name == "identity":
-        return lambda A: Preconditioner.identity()
-    if name == "jacobi":
-        return Preconditioner.jacobi
-    raise ConfigError(f"unknown preconditioner {name!r}")
 
 
 @dataclass
@@ -171,9 +189,8 @@ class RunResult:
 
 
 def _run_one(config, name, strategy, precond, tol, seed):
-    cfg = SolveConfig(tol=tol, max_iters=config.max_iters)
-    report = run_sequence(_systems(config, seed),
-                          _preconditioner_factory(precond), strategy, cfg)
+    report = run_sequence(_systems(config, seed), PRECONDITIONERS[precond], strategy,
+                          SolveConfig(tol=tol, max_iters=config.max_iters))
     return RunResult(name, strategy, precond, tol, seed, report)
 
 
@@ -207,7 +224,7 @@ def _summaries(results):
     return summary
 
 
-def _write_outputs(config, results, out_dir):
+def _write_outputs(results, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [CSV_HEADER]
     for res in results:
@@ -252,9 +269,8 @@ def cli_run(config_path, out=None):
                for precond in config.preconditioners
                for tol in config.tolerances
                for seed in config.seeds]
-    summary = _write_outputs(config, results, out_dir)
-    ok = all(entry["all_converged"] for entry in summary.values())
-    return 0 if ok else 1
+    summary = _write_outputs(results, out_dir)
+    return 0 if all(entry["all_converged"] for entry in summary.values()) else 1
 
 
 def _inspect_trace(artifact, stream):
@@ -286,13 +302,20 @@ def _inspect_trace(artifact, stream):
 
 
 def cli_inspect(path, stream=None):
-    """Print diagnostics for a saved trace or report; returns exit status."""
+    """Print diagnostics for a saved trace or report; returns exit status.
+    A missing or malformed artifact prints one error line and returns 1."""
     stream = stream or sys.stdout
     path = Path(path)
-    if not path.exists():
-        print(f"error: no such artifact: {path}", file=sys.stderr)
+    try:
+        artifact = json.loads(path.read_text())
+        problem = None if isinstance(artifact, dict) else "artifact must be a JSON object"
+    except OSError as exc:
+        problem = f"cannot read artifact: {exc.strerror}"
+    except json.JSONDecodeError as exc:
+        problem = f"malformed JSON: {exc}"
+    if problem:
+        print(f"error: {path}: {problem}", file=sys.stderr)
         return 1
-    artifact = json.loads(path.read_text())
     if "alphas" in artifact:
         return _inspect_trace(artifact, stream)
     print(f"report summary ({len(artifact)} runs):", file=stream)
@@ -309,18 +332,17 @@ def cli_gen(spec_path, out_dir):
     """Write a generated sequence as Matrix Market files; returns exit status."""
     raw = load_yaml_mapping(spec_path, "spec")
     problem = raw.get("problem", raw)
-    count = int(raw.get("count", problem.get("count", 1)))
+    count = config_value(spec_path, "count", raw.get("count", problem.get("count", 1)),
+                         operator.index, lambda v: v >= 1)
     spec = problem_spec_from_dict(problem)
     if spec is None:
         raise ConfigError(f"{spec_path}: gen needs a generated problem, not kind: files")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rhs_written = False
     for k, (A, b) in enumerate(generate_diffusion_sequence(spec, count)):
         write_matrix_market(out / f"A_{k:03d}.mtx", A)
-        if not rhs_written:
+        if k == 0:
             write_matrix_market(out / "b.mtx", b)
-            rhs_written = True
     return 0
 
 

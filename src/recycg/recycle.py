@@ -5,8 +5,8 @@ an augmentation basis from earlier solves.
 Strategies: no recycling (baseline), total reuse of all search directions,
 selective reuse of Ritz vectors with stagnated Ritz values (optionally
 restricted to the external part of the spectrum by the cluster filter).
-A coarse-Cholesky rank guard drops dependent columns, and an optional cap
-restarts the basis from its initial block.
+The basis starts empty and only grows; a coarse-Cholesky rank guard drops
+the columns that become dependent.
 """
 from __future__ import annotations
 
@@ -26,36 +26,30 @@ TRKS = "trks"
 SRKS = "srks"
 SRKS_CLUSTER = "srks_cluster"
 
-RANK_GUARD_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RecycleStrategy:
-    """Which information to keep after each solve, and how much of it."""
+    """What to keep after each solve: nothing, all search directions (``trks``)
+    or the Ritz vectors whose values stagnated to ``epsilon`` (``srks``),
+    outside the central cluster only for ``srks_cluster``."""
 
     kind: str = NONE
     epsilon: float = 1e-14
-    nc_limit: int = 0
-    min_cluster: int = 0  # 0 = one fifth of the preselected count
 
     def __post_init__(self):
         if self.kind not in (NONE, TRKS, SRKS, SRKS_CLUSTER):
             raise ContractViolation(f"unknown strategy kind {self.kind!r}")
         if self.kind in (SRKS, SRKS_CLUSTER) and self.epsilon <= 0.0:
             raise ContractViolation("epsilon must be positive for SRKS kinds")
-        if self.nc_limit < 0:
-            raise ContractViolation("nc_limit must be >= 0")
-        if self.min_cluster < 0:
-            raise ContractViolation("min_cluster must be >= 0")
 
 
 @dataclass
 class AugmentationState:
-    """Current augmentation basis with per-column provenance."""
+    """Current augmentation basis with per-column provenance; a run starts
+    from ``from_initial(n)``, the empty basis."""
 
     basis: np.ndarray
     origin_tags: list = field(default_factory=list)
-    initial_basis: np.ndarray | None = None
 
     @classmethod
     def from_initial(cls, n, C0=None):
@@ -63,7 +57,7 @@ class AugmentationState:
         if C0.ndim != 2 or C0.shape[0] != n:
             raise ContractViolation("initial basis must have n rows")
         tags = [("initial", j) for j in range(C0.shape[1])]
-        return cls(C0.copy(), tags, C0.copy())
+        return cls(C0.copy(), tags)
 
     @property
     def n_c(self):
@@ -73,10 +67,6 @@ class AugmentationState:
         self.basis = np.column_stack([self.basis, block]) if block.size else self.basis
         self.origin_tags.extend(tags)
 
-    def restart(self):
-        self.basis = self.initial_basis.copy()
-        self.origin_tags = [("initial", j) for j in range(self.basis.shape[1])]
-
     def drop_column(self, index):
         self.basis = np.delete(self.basis, index, axis=1)
         del self.origin_tags[index]
@@ -84,9 +74,10 @@ class AugmentationState:
 
 @dataclass
 class SystemRecord:
-    """One solve of the sequence.  Times are wall seconds: ``solve_seconds``
-    covers ``apcg_solve`` (projection included), ``augmentation_seconds`` the
-    deflation build before it and the basis update after it."""
+    """One solve of the sequence.  ``final_residual`` is the true relative
+    residual ||b - A x|| / ||b||.  Times are wall seconds: ``solve_seconds``
+    covers ``apcg_solve`` (projection included), ``augmentation_seconds``
+    the deflation build before it and the basis update after it."""
 
     k: int
     iterations: int
@@ -106,7 +97,6 @@ class SequenceReport:
     events: list = field(default_factory=list)
     aborted: bool = False
     final_basis: np.ndarray | None = None
-    final_tags: list = field(default_factory=list)
 
     def iterations(self):
         return [rec.iterations for rec in self.records]
@@ -115,23 +105,21 @@ class SequenceReport:
         return [rec.n_c_before for rec in self.records]
 
 
-def guarded_deflation(A: SparseSpdMatrix, state: AugmentationState, events=None):
-    """Build the deflation operator, dropping columns that trip the rank guard."""
+def guarded_deflation(A: SparseSpdMatrix, state: AugmentationState, events):
+    """Build the deflation operator; each column the rank guard drops is logged."""
     while True:
         try:
             return build_deflation(A, state.basis)
         except RankDeficient as exc:
             tag = state.origin_tags[exc.column]
             state.drop_column(exc.column)
-            if events is not None:
-                events.append(("dropped_column", exc.column, tag))
+            events.append(("dropped_column", exc.column, tag))
 
 
-def update_basis_trks(state: AugmentationState, trace: SolveTrace,
-                      system_index=0) -> AugmentationState:
+def update_basis_trks(state: AugmentationState, trace: SolveTrace, system_index=0):
     """Append all search directions of the solve, normalized to unit length."""
     if trace.iterations == 0:
-        return state
+        return
     if trace.directions is None:
         raise ContractViolation("trace has no search directions (solve with reorthogonalize)")
     W = trace.directions.T
@@ -140,11 +128,9 @@ def update_basis_trks(state: AugmentationState, trace: SolveTrace,
     W = W[:, keep] / norms[keep]
     tags = [("direction", system_index, j) for j in range(W.shape[1])]
     state.append(W, tags)
-    return state
 
 
-def update_basis_srks(state: AugmentationState, spectrum,
-                      system_index=0) -> AugmentationState:
+def update_basis_srks(state: AugmentationState, spectrum, system_index=0):
     """Append the selected Ritz vectors, each scaled by 1/sqrt(|theta|)."""
     if spectrum.converged_mask is None:
         raise ContractViolation("spectrum has no convergence mask")
@@ -154,7 +140,6 @@ def update_basis_srks(state: AugmentationState, spectrum,
     block = spectrum.vectors / np.sqrt(np.abs(values))
     tags = [("ritz", system_index, float(theta)) for theta in values]
     state.append(block, tags)
-    return state
 
 
 def flag_spectrum(tridiag, values, strategy: RecycleStrategy):
@@ -165,9 +150,9 @@ def flag_spectrum(tridiag, values, strategy: RecycleStrategy):
     prev = tridiag_eig(tridiag.truncated(m - 1)).values if m >= 2 else np.empty(0)
     mask = select_converged(values, prev, strategy.epsilon)
     if strategy.kind == SRKS_CLUSTER and mask.any():
-        min_cluster = strategy.min_cluster or max(1, math.ceil(mask.sum() / 5))
+        # the cluster holds at least a fifth of the preselected values
         external = np.zeros(m, dtype=bool)
-        external[cluster_filter(values, min_cluster)] = True
+        external[cluster_filter(values, math.ceil(mask.sum() / 5))] = True
         mask &= external
     return mask
 
@@ -180,21 +165,22 @@ def select_spectrum(trace: SolveTrace, strategy: RecycleStrategy):
 
 
 def run_sequence(systems, M_factory, strategy: RecycleStrategy,
-                 cfg: SolveConfig, C0=None) -> SequenceReport:
+                 cfg: SolveConfig) -> SequenceReport:
     """Solve a sequence of (A, b) systems, recycling per the chosen strategy.
 
+    The basis starts empty, grows by what the strategy keeps from each
+    converged solve and loses the columns that the rank guard drops.
     ``M_factory`` maps each operator to its preconditioner.  Only ``tol`` and
-    ``max_iters`` of ``cfg`` are used; reorthogonalization follows from the
-    strategy: off for ``none``, which reuses nothing, and on for the
-    recycling strategies.  Non-converged solves contribute nothing to the
-    basis; a failed solve aborts the run with a partial report.
+    ``max_iters`` of ``cfg`` are used; reorthogonalization is off for
+    ``none``, which reuses nothing, and on for the recycling strategies.  A
+    failed solve aborts the run with a partial report.
     """
     run_cfg = replace(cfg, reorthogonalize=strategy.kind != NONE)
     report = SequenceReport()
     state = None
     for k, (A, b) in enumerate(systems):
         if state is None:
-            state = AugmentationState.from_initial(A.n, C0)
+            state = AugmentationState.from_initial(A.n)
         n_c_before = state.n_c
 
         t0 = perf_counter()
@@ -221,12 +207,8 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
         selected = state.n_c - n_c_before
         update_seconds = perf_counter() - t0
 
-        if strategy.nc_limit > 0 and state.n_c >= strategy.nc_limit:
-            report.events.append(("restart", k, state.n_c))
-            state.restart()
-
-        b_norm = float(np.linalg.norm(b))
-        final_rel = trace.residual_norms[-1] / b_norm if b_norm > 0 else 0.0
+        # a zero b is solved by x = 0 with a zero residual
+        final_rel = trace.true_residual_norm / (float(np.linalg.norm(b)) or 1.0)
         report.records.append(SystemRecord(
             k=k, iterations=trace.iterations, n_c_before=n_c_before,
             n_c_selected=selected, solve_seconds=solve_seconds,
@@ -236,7 +218,6 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
         del D, trace
     if state is not None:
         report.final_basis = state.basis
-        report.final_tags = list(state.origin_tags)
     return report
 
 

@@ -22,25 +22,22 @@ import scipy.linalg
 from .core import (ContractViolation, NumericalFailure, SparseSpdMatrix,
                    dense_cholesky)
 
-IDENTITY = "identity"
-JACOBI = "jacobi"
-USER_DIAGONAL = "user_diagonal"
+RANK_GUARD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Diagonal (or identity) SPD preconditioner, stored as inverse entries."""
+    """Diagonal SPD preconditioner stored as inverse entries (None: identity)."""
 
-    kind: str
     inv_diag: np.ndarray | None = None
 
     @classmethod
     def identity(cls):
-        return cls(IDENTITY)
+        return cls()
 
     @classmethod
     def jacobi(cls, A: SparseSpdMatrix):
-        return cls(JACOBI, 1.0 / A.diagonal())
+        return cls(1.0 / A.diagonal())
 
     @classmethod
     def user_diagonal(cls, diag):
@@ -48,7 +45,7 @@ class Preconditioner:
         # NaN fails both comparisons; +inf would give a zero inverse entry
         if not np.all((diag > 0.0) & (diag < np.inf)):
             raise ContractViolation("preconditioner diagonal must be positive and finite")
-        return cls(USER_DIAGONAL, 1.0 / diag)
+        return cls(1.0 / diag)
 
     def apply(self, r):
         """M^{-1} r"""
@@ -104,7 +101,8 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
     """Compute AC and the factorized coarse matrix for the projector.
 
     Raises ``RankDeficient`` (with the dependent column index) when the
-    coarse matrix C^T A C is not positive definite.
+    coarse matrix C^T A C is not positive definite, or when a pivot falls
+    below ``RANK_GUARD_RTOL`` times the largest pivot before it.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.size == 0:
@@ -116,7 +114,7 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
     ac = A @ C
     coarse = C.T @ ac
     coarse = 0.5 * (coarse + coarse.T)
-    L = dense_cholesky(coarse, pivot_rtol=1e-12)
+    L = dense_cholesky(coarse, pivot_rtol=RANK_GUARD_RTOL)
     return DeflationOperator(C, ac, L)
 
 
@@ -167,10 +165,11 @@ class SolveTrace:
     iterations: int = 0
     converged: bool = False
     directions: np.ndarray | None = None
+    true_residual_norm: float = math.nan  # ||b - A x|| of the returned x
 
-    def to_json_dict(self, spectrum=None, eps_cg=None):
+    def to_json_dict(self):
         """The coefficients and residual norms; no Krylov vectors are written."""
-        d = {
+        return {
             "alphas": list(map(float, self.alphas)),
             "betas": list(map(float, self.betas)),
             "rz_inner": list(map(float, self.rz_inner)),
@@ -178,11 +177,6 @@ class SolveTrace:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-        if spectrum is not None:
-            d["spectrum"] = list(map(float, spectrum))
-        if eps_cg is not None:
-            d["eps_cg"] = float(eps_cg)
-        return d
 
     @classmethod
     def from_json_dict(cls, d):
@@ -224,6 +218,7 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
     b_norm = float(np.linalg.norm(b))
     if r0_norm == 0.0 or r0_norm <= 1e-13 * b_norm:
         trace.converged = True
+        trace.true_residual_norm = r0_norm
         return x, trace
 
     z = D.project(M.apply(r))
@@ -292,4 +287,5 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
 
     if cfg.reorthogonalize:
         trace.directions = W[:stored]
+    trace.true_residual_norm = float(np.linalg.norm(b - A @ x))
     return x, trace

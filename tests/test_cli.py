@@ -169,7 +169,7 @@ def test_inspect_trace(tmp_path):
     D = build_deflation(A, np.zeros((2, 0)))
     _, trace = apcg_solve(A, Preconditioner.identity(), D,
                           np.array([1.0, 1.0]), SolveConfig(tol=1e-12))
-    artifact = trace.to_json_dict(spectrum=[1.0, 4.0], eps_cg=1e-6)
+    artifact = {**trace.to_json_dict(), "spectrum": [1.0, 4.0], "eps_cg": 1e-6}
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(artifact))
 
@@ -233,6 +233,18 @@ def test_inspect_missing_artifact(tmp_path):
     assert cli_inspect(tmp_path / "nope.json") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "malformed JSON"),
+    ("[1, 2]", "artifact must be a JSON object"),
+], ids=["malformed", "list"])
+def test_inspect_malformed_artifact(tmp_path, capsys, text, message):
+    path = tmp_path / "artifact.json"
+    path.write_text(text)
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # cli_gen and main
 
@@ -293,6 +305,33 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(missing)]) == 2
     err = capsys.readouterr().err
     assert f"{missing}: cannot read config" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[none, trks]", "[{kind: srks, bogus: 3}]", "unknown strategy keys ['bogus']"),
+    ("[none, trks]", "[{kind: trks, nc_limit: 5}]", "unknown strategy keys ['nc_limit']"),
+    ("[none, trks]", "[{kind: srks_cluster, min_cluster: 3}]",
+     "unknown strategy keys ['min_cluster']"),
+    ("[none, trks]", "[{kind: srks, epsilon: tiny}]", "bad epsilon value 'tiny'"),
+    ("[none, trks]", "[[srks]]", "unknown strategy ['srks']"),
+    ("[none, trks]", "none", "strategies must be a list"),
+    ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, tight]", "bad tolerances value 'tight'"),
+    ("max_iters: 500", "max_iters: lots", "bad max_iters value 'lots'"),
+    ("max_iters: 500", "max_iters: 2.5", "bad max_iters value 2.5"),
+    ("count: 2", "count: 0", "bad count value 0"),
+    ("count: 2", "count: 2\nseeds: [0, one]", "bad seeds value 'one'"),
+    ("count: 2", "count: 2\nseeds: 3", "seeds must be a list"),
+    ("[jacobi]", "[jacobi, ilu]", "bad preconditioners value 'ilu'"),
+], ids=["unknown-key", "nc_limit", "min_cluster", "epsilon", "strategy-list",
+        "strategies-string", "tolerance", "max_iters-word", "max_iters-float",
+        "count", "seed", "seeds-scalar", "preconditioner"])
+def test_run_config_errors_exit_2(tmp_path, capsys, old, new, message):
+    assert old in SMALL_CONFIG
+    config = write_config(tmp_path, SMALL_CONFIG.replace(old, new))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_bad_config_exit_code(tmp_path):

@@ -262,14 +262,12 @@ def test_solve_config_validation():
 def test_trace_json_round_trip(rng):
     A = random_spd_matrix(10, rng)
     _, trace = solve(A, rng.standard_normal(10))
-    d = trace.to_json_dict(spectrum=[1.0, 2.0], eps_cg=1e-6)
+    d = trace.to_json_dict()
     back = SolveTrace.from_json_dict(d)
     assert back.iterations == trace.iterations
     assert back.converged == trace.converged
     np.testing.assert_allclose(back.alphas, trace.alphas)
     np.testing.assert_allclose(back.betas, trace.betas)
-    assert d["spectrum"] == [1.0, 2.0]
-    assert d["eps_cg"] == 1e-6
     # the Krylov data stays out of the artifact; an old artifact's is ignored
     assert trace.directions is not None and trace.sweeps
     assert "directions" not in d and "sweeps" not in d and "z_history" not in d
