@@ -14,14 +14,14 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import recycle
-from .core import ContractViolation, tridiag_eig
+from .core import ContractViolation, NumericalFailure, tridiag_eig
 from .problems import (InclusionGridSpec, benchmark_spec, generate_diffusion_sequence,
                        read_matrix_market, regular_inclusion_layout, write_matrix_market)
 from .recycle import RecycleStrategy, SequenceReport, run_sequence, subspace_overlap
@@ -42,6 +42,16 @@ STRATEGY_SHORTHAND = {
 
 PRECONDITIONERS = {"identity": lambda A: Preconditioner.identity(),
                    "jacobi": Preconditioner.jacobi}
+
+CONFIG_KEYS = {"problem", "count", "strategies", "preconditioners", "tolerances",
+               "max_iters", "output_dir"}
+
+PROBLEM_KEYS = {
+    "diffusion": {"kind", "seed", "grid", "inclusion_layout", "inclusions_per_axis",
+                  "inclusion_coeff_mean", "matrix_coeff_mean", "rel_std"},
+    "benchmark": {"kind", "seed"},
+    "files": {"kind", "rhs", "matrices"},
+}
 
 
 class ConfigError(ValueError):
@@ -85,97 +95,149 @@ def config_list(path, key, value, convert=lambda v: v, valid=lambda v: True):
     return [config_value(path, key, item, convert, valid) for item in value]
 
 
+def check_keys(path, what, mapping, known):
+    """Raise a one-line ConfigError naming the keys of ``mapping`` outside ``known``."""
+    unknown = sorted(map(str, set(mapping) - known))
+    if unknown:
+        raise ConfigError(f"{path}: unknown {what} keys {unknown}; "
+                          f"the known ones are {sorted(known)}")
+
+
 def _strategy(path, entry):
     """``(name, strategy)`` of a shorthand or of an inline mapping."""
     if isinstance(entry, str) and entry in STRATEGY_SHORTHAND:
         return entry, STRATEGY_SHORTHAND[entry]
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: unknown strategy {entry!r}")
-    unknown = sorted(map(str, set(entry) - {"name", "kind", "epsilon"}))
-    if unknown:
-        raise ConfigError(f"{path}: unknown strategy keys {unknown}; "
-                          "an inline strategy takes name, kind and epsilon")
+    check_keys(path, "strategy", entry, {"name", "kind", "epsilon"})
     epsilon = config_value(path, "epsilon", entry.get("epsilon", RecycleStrategy.epsilon), float)
     return (entry.get("name", entry.get("kind", "custom")),
             RecycleStrategy(entry.get("kind", recycle.NONE), epsilon))
 
 
+@dataclass(frozen=True)
+class MatrixFiles:
+    """A sequence stored as Matrix Market files: one matrix per system and
+    one right-hand side shared by all of them."""
+
+    rhs: Path
+    matrices: tuple
+
+
+def _inclusion_block(block):
+    """One inclusion block: a ``[lo, hi]`` pair of integers per axis."""
+    return tuple((operator.index(lo), operator.index(hi)) for lo, hi in block)
+
+
+def problem_spec_from_dict(problem, path="config"):
+    """The sequence a ``problem`` mapping names: an InclusionGridSpec for the
+    ``diffusion`` and ``benchmark`` kinds, MatrixFiles for ``files``.  A key
+    the kind does not take, a missing key or a bad value raises a one-line
+    ConfigError."""
+    if not isinstance(problem, dict):
+        raise ConfigError(f"{path}: problem must be a mapping")
+    kind = problem.get("kind", "diffusion")
+    if not isinstance(kind, str) or kind not in PROBLEM_KEYS:
+        raise ConfigError(f"{path}: unknown problem kind {kind!r}; "
+                          f"the known ones are {sorted(PROBLEM_KEYS)}")
+    check_keys(path, f"{kind} problem", problem, PROBLEM_KEYS[kind])
+    try:
+        if kind == "files":
+            return MatrixFiles(config_value(path, "rhs", problem["rhs"], Path),
+                               tuple(config_list(path, "matrices", problem["matrices"], Path)))
+        seed = config_value(path, "seed", problem.get("seed", 0), operator.index,
+                            lambda v: v >= 0)
+        if kind == "benchmark":
+            return benchmark_spec(seed=seed)
+        grid = tuple(config_list(path, "grid", problem["grid"], operator.index))
+        if "inclusion_layout" in problem and "inclusions_per_axis" in problem:
+            raise ConfigError(f"{path}: set inclusion_layout or inclusions_per_axis, not both")
+        if "inclusion_layout" in problem:
+            layout = config_list(path, "inclusion_layout", problem["inclusion_layout"],
+                                 _inclusion_block)
+        else:
+            per_axis = config_value(path, "inclusions_per_axis",
+                                    problem.get("inclusions_per_axis", 0), operator.index,
+                                    lambda v: v >= 0)
+            layout = regular_inclusion_layout(grid, per_axis) if per_axis else ()
+        return InclusionGridSpec(
+            grid=grid,
+            inclusion_layout=layout,
+            matrix_coeff_mean=config_value(path, "matrix_coeff_mean",
+                                           problem.get("matrix_coeff_mean", 1.0), float,
+                                           math.isfinite),
+            # one mean for every block or a list of one mean per block
+            inclusion_coeff_mean=config_value(
+                path, "inclusion_coeff_mean", problem.get("inclusion_coeff_mean", 100.0),
+                lambda v: np.array(v, dtype=np.float64),
+                lambda a: a.ndim <= 1 and np.isfinite(a).all()),
+            rel_std=config_value(path, "rel_std", problem.get("rel_std", 0.10), float,
+                                 math.isfinite),
+            seed=seed)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing config key 'problem.{exc.args[0]}'") from exc
+    except ContractViolation as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def read_sequence(path, raw):
+    """``(problem, count)`` of a config mapping, read the same way for ``run``
+    and ``gen``: the sequence that ``problem_spec_from_dict`` makes of the
+    ``problem`` mapping, and the number of systems to generate (default 40;
+    a ``files`` problem solves every listed matrix).  A top-level key outside
+    ``CONFIG_KEYS`` raises a one-line ConfigError."""
+    check_keys(path, "config", raw, CONFIG_KEYS)
+    if "problem" not in raw:
+        raise ConfigError(f"{path}: missing config key 'problem'")
+    return (problem_spec_from_dict(raw["problem"], path),
+            config_value(path, "count", raw.get("count", 40), operator.index, lambda v: v >= 1))
+
+
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment grid."""
+    """Parsed experiment grid: every (strategy, preconditioner, tolerance)
+    combination runs on the one sequence that ``problem`` and ``count`` name.
+    ``strategies`` holds ``(name, RecycleStrategy)`` pairs."""
 
-    problem: dict
+    problem: InclusionGridSpec | MatrixFiles
+    count: int
     strategies: list
-    strategy_names: list
     preconditioners: list
     tolerances: list
-    max_iters: int = 2000
-    seeds: list = field(default_factory=lambda: [0])
-    output_dir: Path = Path("out")
-    count: int = 40
+    max_iters: int
+    output_dir: Path
 
     @classmethod
     def from_file(cls, path):
         path = Path(path)
         raw = load_yaml_mapping(path, "config")
+        problem, count = read_sequence(path, raw)
         try:
-            problem = dict(raw["problem"])
-            named = [_strategy(path, entry)
-                     for entry in config_list(path, "strategies", raw["strategies"])]
+            strategies = [_strategy(path, entry)
+                          for entry in config_list(path, "strategies", raw["strategies"])]
             tolerances = config_list(path, "tolerances", raw["tolerances"], float)
-            if not named or not tolerances:
-                raise ConfigError(f"{path}: strategies and tolerances must be nonempty lists")
-            preconds = config_list(path, "preconditioners",
-                                   raw.get("preconditioners", ["jacobi"]), str,
-                                   PRECONDITIONERS.__contains__)
-            count = raw.get("count", problem.get("count", 40))
-            return cls(problem=problem,
-                       strategies=[strategy for _, strategy in named],
-                       strategy_names=[name for name, _ in named],
-                       preconditioners=preconds, tolerances=tolerances,
-                       max_iters=config_value(path, "max_iters", raw.get("max_iters", 2000),
-                                              operator.index, lambda v: v >= 1),
-                       seeds=config_list(path, "seeds", raw.get("seeds", [0]),
-                                         operator.index, lambda v: v >= 0),
-                       output_dir=Path(raw.get("output_dir", "out")),
-                       count=config_value(path, "count", count, operator.index, lambda v: v >= 1))
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from exc
+        if not strategies or not tolerances:
+            raise ConfigError(f"{path}: strategies and tolerances must be nonempty lists")
+        return cls(problem=problem, count=count, strategies=strategies,
+                   preconditioners=config_list(path, "preconditioners",
+                                               raw.get("preconditioners", ["jacobi"]), str,
+                                               PRECONDITIONERS.__contains__),
+                   tolerances=tolerances,
+                   max_iters=config_value(path, "max_iters", raw.get("max_iters", 2000),
+                                          operator.index, lambda v: v >= 1),
+                   output_dir=config_value(path, "output_dir", raw.get("output_dir", "out"),
+                                           Path))
 
 
-def problem_spec_from_dict(problem):
-    kind = problem.get("kind", "diffusion")
-    if kind == "files":
-        return None
-    if kind == "benchmark":
-        return benchmark_spec(seed=int(problem.get("seed", 0)))
-    grid = tuple(problem["grid"])
-    layout = problem.get("inclusion_layout")
-    if layout is None:
-        per_axis = problem.get("inclusions_per_axis")
-        if per_axis is None:
-            count = int(problem.get("inclusions", 0))
-            per_axis = round(count ** (1.0 / len(grid))) if count else 0
-        layout = regular_inclusion_layout(grid, per_axis) if per_axis else ()
-    inc_mean = problem.get("inclusion_coeff_mean", 100.0)
-    if not isinstance(inc_mean, (list, tuple)):
-        inc_mean = float(inc_mean)
-    return InclusionGridSpec(
-        grid=grid,
-        inclusion_layout=layout,
-        matrix_coeff_mean=float(problem.get("matrix_coeff_mean", 1.0)),
-        inclusion_coeff_mean=inc_mean,
-        rel_std=float(problem.get("rel_std", 0.10)),
-        seed=int(problem.get("seed", 0)))
-
-
-def _systems(config, seed):
+def _systems(config):
+    """The (A, b) pairs of the configured sequence."""
     problem = config.problem
-    if problem.get("kind", "diffusion") == "files":
-        rhs = read_matrix_market(problem["rhs"])
-        return [(read_matrix_market(mat_path), rhs) for mat_path in problem["matrices"]]
-    spec = replace(problem_spec_from_dict(problem), seed=seed)
-    return generate_diffusion_sequence(spec, config.count)
+    if isinstance(problem, MatrixFiles):
+        rhs = read_matrix_market(problem.rhs)
+        return [(read_matrix_market(mat_path), rhs) for mat_path in problem.matrices]
+    return generate_diffusion_sequence(problem, config.count)
 
 
 @dataclass
@@ -184,14 +246,18 @@ class RunResult:
     strategy: RecycleStrategy
     preconditioner: str
     tol: float
-    seed: int
     report: SequenceReport
 
+    @property
+    def key(self):
+        """The run's key in ``summary.json`` and ``events.jsonl``."""
+        return f"{self.name}|{self.preconditioner}|{self.tol:g}"
 
-def _run_one(config, name, strategy, precond, tol, seed):
-    report = run_sequence(_systems(config, seed), PRECONDITIONERS[precond], strategy,
+
+def _run_one(config, name, strategy, precond, tol):
+    report = run_sequence(_systems(config), PRECONDITIONERS[precond], strategy,
                           SolveConfig(tol=tol, max_iters=config.max_iters))
-    return RunResult(name, strategy, precond, tol, seed, report)
+    return RunResult(name, strategy, precond, tol, report)
 
 
 def _format_row(result, rec):
@@ -207,12 +273,10 @@ def _summaries(results):
         recs = res.report.records
         iters = [r.iterations for r in recs]
         ncs = [r.n_c_before for r in recs]
-        key = f"{res.name}|{res.preconditioner}|{res.tol:g}|seed{res.seed}"
-        summary[key] = {
+        summary[res.key] = {
             "strategy": res.name,
             "preconditioner": res.preconditioner,
             "tol": res.tol,
-            "seed": res.seed,
             "systems": len(recs),
             "avg_iterations": float(np.mean(iters)) if iters else math.nan,
             "avg_n_c": float(np.mean(ncs)) if ncs else math.nan,
@@ -222,6 +286,11 @@ def _summaries(results):
             "all_converged": bool(all(r.converged for r in recs)) and not res.report.aborted,
         }
     return summary
+
+
+# the fields after the kind of each SequenceReport event tuple
+EVENT_FIELDS = {"dropped_column": ("index", "origin"),
+                "solve_failed": ("system", "message")}
 
 
 def _write_outputs(results, out_dir):
@@ -234,8 +303,12 @@ def _write_outputs(results, out_dir):
     summary = _summaries(results)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
+    (out_dir / "events.jsonl").write_text("".join(
+        json.dumps({"run": res.key, "event": kind, **dict(zip(EVENT_FIELDS[kind], values))}) + "\n"
+        for res in results for kind, *values in res.report.events))
+
     for res in results:
-        tag = f"{res.name}_{res.preconditioner}_{res.tol:g}_seed{res.seed}".replace("-", "m")
+        tag = f"{res.name}_{res.preconditioner}_{res.tol:g}".replace("-", "m")
         recs = res.report.records
         curves = {
             "iterations_vs_system": [(r.k, r.iterations) for r in recs],
@@ -264,82 +337,89 @@ def cli_run(config_path, out=None):
     """Run the full experiment grid; returns a process exit status."""
     config = ExperimentConfig.from_file(config_path)
     out_dir = Path(out) if out else config.output_dir
-    results = [_run_one(config, name, strategy, precond, tol, seed)
-               for (name, strategy) in zip(config.strategy_names, config.strategies)
+    results = [_run_one(config, name, strategy, precond, tol)
+               for name, strategy in config.strategies
                for precond in config.preconditioners
-               for tol in config.tolerances
-               for seed in config.seeds]
+               for tol in config.tolerances]
     summary = _write_outputs(results, out_dir)
     return 0 if all(entry["all_converged"] for entry in summary.values()) else 1
 
 
-def _inspect_trace(artifact, stream):
+def _trace_lines(artifact):
+    """The diagnostics of a saved trace; raises on a trace it cannot decode."""
     trace = SolveTrace.from_json_dict(artifact)
     m = trace.iterations
-    print(f"trace: {m} iterations, converged={trace.converged}", file=stream)
+    lines = [f"trace: {m} iterations, converged={trace.converged}"]
     if m < 1:
-        return 0
+        return lines
+    alphas = np.asarray(trace.alphas[:m], dtype=np.float64)
+    if len(alphas) != m or not np.all(np.isfinite(alphas) & (alphas > 0.0)):
+        raise ContractViolation("need one finite positive alpha per iteration")
     # the run's own selection, on the values alone: a saved trace does not
     # carry the search directions that Ritz vectors are built from
-    T = lanczos_tridiag(trace.alphas[:m], trace.betas[:m - 1])
+    T = lanczos_tridiag(alphas, trace.betas[:m - 1])
     values = tridiag_eig(T).values
     epsilon = float(artifact.get("epsilon", 1e-6))
     flags = recycle.flag_spectrum(T, values, RecycleStrategy(recycle.SRKS, epsilon))
     kept = recycle.flag_spectrum(T, values, RecycleStrategy(recycle.SRKS_CLUSTER, epsilon))
-    print("ritz spectrum (descending):", file=stream)
-    for theta, flag in zip(values, flags):
-        print(f"  {theta: .12e}  {'converged' if flag else '-'}", file=stream)
-    print(f"kept by the cluster filter: indices {np.flatnonzero(kept).tolist()}",
-          file=stream)
+    lines.append("ritz spectrum (descending):")
+    lines.extend(f"  {theta: .12e}  {'converged' if flag else '-'}"
+                 for theta, flag in zip(values, flags))
+    lines.append(f"kept by the cluster filter: indices {np.flatnonzero(kept).tolist()}")
     true_spectrum = artifact.get("spectrum")
     if true_spectrum:
         eps_cg = float(artifact.get("eps_cg", 1e-6))
         lam = np.sort(np.asarray(true_spectrum, dtype=np.float64))
         pred = predict_iterations(lam, eps_cg)
-        print(f"predicted iterations (classical rate): {pred.n_eps_classical}", file=stream)
-        print(f"observed iterations: {m}", file=stream)
-    return 0
+        lines.append(f"predicted iterations (classical rate): {pred.n_eps_classical}")
+        lines.append(f"observed iterations: {m}")
+    return lines
+
+
+def _summary_lines(artifact):
+    lines = [f"report summary ({len(artifact)} runs):"]
+    for key in sorted(artifact):
+        entry = artifact[key]
+        if isinstance(entry, dict) and "avg_iterations" in entry:
+            lines.append(f"  {key}: avg_iters={entry['avg_iterations']:.2f} "
+                         f"avg_n_c={entry['avg_n_c']:.1f} max_n_c={entry['max_n_c']}")
+    return lines
 
 
 def cli_inspect(path, stream=None):
     """Print diagnostics for a saved trace or report; returns exit status.
-    A missing or malformed artifact prints one error line and returns 1."""
+    An artifact that is missing, malformed or cannot be decoded prints one
+    error line and returns 1."""
     stream = stream or sys.stdout
     path = Path(path)
     try:
         artifact = json.loads(path.read_text())
-        problem = None if isinstance(artifact, dict) else "artifact must be a JSON object"
+        if not isinstance(artifact, dict):
+            raise TypeError("artifact must be a JSON object")
+        lines = _trace_lines(artifact) if "alphas" in artifact else _summary_lines(artifact)
     except OSError as exc:
         problem = f"cannot read artifact: {exc.strerror}"
     except json.JSONDecodeError as exc:
         problem = f"malformed JSON: {exc}"
-    if problem:
-        print(f"error: {path}: {problem}", file=sys.stderr)
-        return 1
-    if "alphas" in artifact:
-        return _inspect_trace(artifact, stream)
-    print(f"report summary ({len(artifact)} runs):", file=stream)
-    for key in sorted(artifact):
-        entry = artifact[key]
-        if isinstance(entry, dict) and "avg_iterations" in entry:
-            print(f"  {key}: avg_iters={entry['avg_iterations']:.2f} "
-                  f"avg_n_c={entry['avg_n_c']:.1f} max_n_c={entry['max_n_c']}",
-                  file=stream)
-    return 0
+    except (ValueError, TypeError, KeyError, NumericalFailure) as exc:
+        problem = f"cannot decode artifact: {exc}".splitlines()[0]
+    else:
+        print("\n".join(lines), file=stream)
+        return 0
+    print(f"error: {path}: {problem}", file=sys.stderr)
+    return 1
 
 
 def cli_gen(spec_path, out_dir):
-    """Write a generated sequence as Matrix Market files; returns exit status."""
-    raw = load_yaml_mapping(spec_path, "spec")
-    problem = raw.get("problem", raw)
-    count = config_value(spec_path, "count", raw.get("count", problem.get("count", 1)),
-                         operator.index, lambda v: v >= 1)
-    spec = problem_spec_from_dict(problem)
-    if spec is None:
+    """Write the sequence that a config's ``problem`` and ``count`` name as
+    Matrix Market files; returns exit status.  The keys only ``run`` reads
+    are accepted and ignored."""
+    problem, count = read_sequence(spec_path, load_yaml_mapping(spec_path, "spec"))
+    if isinstance(problem, MatrixFiles):
         raise ConfigError(f"{spec_path}: gen needs a generated problem, not kind: files")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for k, (A, b) in enumerate(generate_diffusion_sequence(spec, count)):
+    for k, (A, b) in enumerate(generate_diffusion_sequence(problem, count)):
         write_matrix_market(out / f"A_{k:03d}.mtx", A)
         if k == 0:
             write_matrix_market(out / "b.mtx", b)

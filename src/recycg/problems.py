@@ -27,10 +27,10 @@ class InclusionGridSpec:
     half-open ``(lo, hi)`` ranges per axis.  One conductivity per material
     (background plus each inclusion) is drawn per system from a normal law
     with the given relative standard deviation, clamped positive by
-    redrawing.  ``inclusion_coeff_mean`` is either one scalar shared by all
-    inclusions or a per-inclusion sequence; spreading the means apart
-    separates the low outliers of the preconditioned spectrum, which is what
-    makes selective recycling bite.
+    redrawing.  ``inclusion_coeff_mean`` is given as one scalar shared by all
+    inclusions or as a per-inclusion sequence, and is stored as one float per
+    inclusion block; spreading the means apart separates the low outliers of
+    the preconditioned spectrum, which is what makes selective recycling bite.
     """
 
     grid: tuple
@@ -46,18 +46,19 @@ class InclusionGridSpec:
         object.__setattr__(self, "inclusion_layout",
                            tuple(tuple(tuple(int(v) for v in rng) for rng in block)
                                  for block in self.inclusion_layout))
-        if np.ndim(self.inclusion_coeff_mean) > 0:
-            inc = tuple(float(v) for v in self.inclusion_coeff_mean)
-            if len(inc) != len(self.inclusion_layout):
-                raise ContractViolation("need one inclusion mean per inclusion block")
-            object.__setattr__(self, "inclusion_coeff_mean", inc)
+        inc = self.inclusion_coeff_mean
+        if np.ndim(inc) == 0:
+            inc = (inc,) * len(self.inclusion_layout)
+        inc = tuple(float(v) for v in inc)
+        if len(inc) != len(self.inclusion_layout):
+            raise ContractViolation("need one inclusion mean per inclusion block")
+        object.__setattr__(self, "inclusion_coeff_mean", inc)
         if len(grid) not in (1, 2, 3) or any(g < 1 for g in grid) or \
                 max(grid) < 2:
             raise ContractViolation("grid must be a 1/2/3-D lattice with >= 2 cells")
-        inc_means = np.atleast_1d(self.inclusion_coeff_mean)
-        if self.matrix_coeff_mean <= 0 or np.any(inc_means <= 0):
+        if not (self.matrix_coeff_mean > 0 and all(m > 0 for m in inc)):
             raise ContractViolation("coefficient means must be positive")
-        if self.rel_std < 0:
+        if not self.rel_std >= 0:
             raise ContractViolation("rel_std must be nonnegative")
         for block in self.inclusion_layout:
             if len(block) != len(grid):
@@ -177,10 +178,7 @@ def generate_diffusion_sequence(spec: InclusionGridSpec, count):
     if count < 1:
         raise ContractViolation("count must be >= 1")
     materials = _material_map(spec)
-    inc_means = np.atleast_1d(np.asarray(spec.inclusion_coeff_mean, dtype=np.float64))
-    if len(inc_means) == 1:
-        inc_means = np.full(len(spec.inclusion_layout), inc_means[0])
-    means = np.concatenate([[spec.matrix_coeff_mean], inc_means])
+    means = (spec.matrix_coeff_mean, *spec.inclusion_coeff_mean)
     b = _load_vector(spec.grid)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     for _ in range(count):

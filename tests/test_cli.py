@@ -2,14 +2,19 @@
 inspection, and sequence export."""
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from recycg import read_matrix_market
+from recycg import (InclusionGridSpec, RecycleStrategy, SequenceReport,
+                    generate_diffusion_sequence, read_matrix_market)
 from recycg.cli import (CSV_HEADER, ConfigError, ExperimentConfig, cli_gen,
-                        cli_inspect, cli_run, main, problem_spec_from_dict)
+                        cli_inspect, cli_run, load_yaml_mapping, main,
+                        problem_spec_from_dict, read_sequence)
 from conftest import benchmark_solve
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 SMALL_CONFIG = """\
@@ -48,10 +53,10 @@ def strip_timing(csv_text):
 
 def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig.from_file(write_config(tmp_path))
-    assert [s.kind for s in cfg.strategies] == ["none", "trks"]
+    assert [s.kind for _, s in cfg.strategies] == ["none", "trks"]
     assert cfg.tolerances == [1e-6]
     assert cfg.count == 2
-    assert cfg.seeds == [0]
+    assert cfg.problem.seed == 0
 
 
 def test_config_inline_strategy(tmp_path):
@@ -59,8 +64,7 @@ def test_config_inline_strategy(tmp_path):
         "strategies: [none, trks]",
         "strategies: [{name: tight, kind: srks, epsilon: 1.0e-10}]")
     cfg = ExperimentConfig.from_file(write_config(tmp_path, text))
-    assert cfg.strategy_names == ["tight"]
-    assert cfg.strategies[0].epsilon == 1e-10
+    assert cfg.strategies == [("tight", RecycleStrategy("srks", epsilon=1e-10))]
 
 
 def test_config_unknown_strategy(tmp_path):
@@ -116,6 +120,9 @@ def test_run_produces_artifacts(tmp_path):
     for curve in ("iterations_vs_system", "nc_vs_system", "time_vs_system"):
         matches = list(out.glob(f"{curve}_*.dat"))
         assert len(matches) == 2
+
+    # a clean run drops no column and fails no solve
+    assert (out / "events.jsonl").read_text() == ""
 
 
 def test_run_single_row(tmp_path):
@@ -236,7 +243,11 @@ def test_inspect_missing_artifact(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("{bad", "malformed JSON"),
     ("[1, 2]", "artifact must be a JSON object"),
-], ids=["malformed", "list"])
+    ('{"alphas": [1.0, 2.0], "betas": []}', "need exactly m - 1 beta coefficients"),
+    ('{"alphas": [1.0, 2.0], "betas": [-1.0]}', "negative beta coefficient"),
+    ('{"alphas": [1.0, "two"], "betas": [0.5]}', "could not convert string to float"),
+    ('{"alphas": [1.0, 0.0], "betas": [0.5]}', "need one finite positive alpha per iteration"),
+], ids=["malformed", "list", "betas-short", "beta-negative", "alpha-word", "alpha-zero"])
 def test_inspect_malformed_artifact(tmp_path, capsys, text, message):
     path = tmp_path / "artifact.json"
     path.write_text(text)
@@ -319,8 +330,8 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     ("max_iters: 500", "max_iters: lots", "bad max_iters value 'lots'"),
     ("max_iters: 500", "max_iters: 2.5", "bad max_iters value 2.5"),
     ("count: 2", "count: 0", "bad count value 0"),
-    ("count: 2", "count: 2\nseeds: [0, one]", "bad seeds value 'one'"),
-    ("count: 2", "count: 2\nseeds: 3", "seeds must be a list"),
+    ("count: 2", "count: 2\nseeds: [0, one]", "unknown config keys ['seeds']"),
+    ("count: 2", "count: 2\nseeds: 3", "unknown config keys ['seeds']"),
     ("[jacobi]", "[jacobi, ilu]", "bad preconditioners value 'ilu'"),
 ], ids=["unknown-key", "nc_limit", "min_cluster", "epsilon", "strategy-list",
         "strategies-string", "tolerance", "max_iters-word", "max_iters-float",
@@ -332,6 +343,128 @@ def test_run_config_errors_exit_2(tmp_path, capsys, old, new, message):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# problem and count are read by one function for run and gen alike
+PROBLEM_ERRORS = [
+    (SMALL_CONFIG[:SMALL_CONFIG.index("strategies")], "problem: foo\n",
+     "problem must be a mapping"),
+    ("kind: diffusion\n", "kind: diffusoin\n", "unknown problem kind 'diffusoin'"),
+    ("kind: diffusion\n  grid: [8, 8]\n  inclusion_layout: [[[2, 6], [2, 6]]]\n"
+     "  inclusion_coeff_mean: 100.0\n", "kind: benchmark\n  grid: [8, 8]\n",
+     "unknown benchmark problem keys ['grid']"),
+    ("seed: 0\n", "sed: 4\n", "unknown diffusion problem keys ['sed']"),
+    ("seed: 0\n", "seed: abc\n", "bad seed value 'abc'"),
+    ("seed: 0\n", "seed: -1\n", "bad seed value -1"),
+    ("grid: [8, 8]", "grid: 5", "grid must be a list"),
+    ("grid: [8, 8]", "grid: [8, eight]", "bad grid value 'eight'"),
+    ("  grid: [8, 8]\n", "", "missing config key 'problem.grid'"),
+    ("[[[2, 6], [2, 6]]]", "[[2, 6]]", "bad inclusion_layout value [2, 6]"),
+    ("[[[2, 6], [2, 6]]]", "[[[2, 6], [2, 9]]]", "inclusion block out of grid bounds"),
+    ("inclusion_coeff_mean: 100.0", "inclusion_coeff_mean: [10.0, 20.0]",
+     "need one inclusion mean per inclusion block"),
+    ("inclusion_coeff_mean: 100.0", "inclusion_coeff_mean: heavy",
+     "bad inclusion_coeff_mean value 'heavy'"),
+    ("inclusion_coeff_mean: 100.0", "inclusions: 4", "unknown diffusion problem keys ['inclusions']"),
+    ("inclusion_coeff_mean: 100.0", "inclusions_per_axis: 2",
+     "set inclusion_layout or inclusions_per_axis, not both"),
+    ("seed: 0\n", "seed: 0\n  count: 2\n", "unknown diffusion problem keys ['count']"),
+    ("seed: 0\n", "seed: 0\n  rel_std: -0.5\n", "rel_std must be nonnegative"),
+    ("max_iters: 500", "max_iter: 500", "unknown config keys ['max_iter']"),
+    ("count: 2", "count: two", "bad count value 'two'"),
+]
+PROBLEM_ERROR_IDS = [
+    "problem-scalar", "kind-typo", "benchmark-grid", "seed-typo", "seed-word", "seed-negative",
+    "grid-scalar", "grid-word", "grid-missing", "layout-block", "layout-bounds",
+    "means-count", "means-word", "inclusions", "layout-and-per-axis",
+    "count-in-problem", "rel_std", "max_iters-typo", "count-word"]
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize("old, new, message", PROBLEM_ERRORS, ids=PROBLEM_ERROR_IDS)
+def test_problem_config_errors_exit_2(tmp_path, capsys, command, old, new, message):
+    assert old in SMALL_CONFIG
+    config = write_config(tmp_path, SMALL_CONFIG.replace(old, new, 1))
+    flag = "--config" if command == "run" else "--spec"
+    assert main([command, flag, str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_solves_the_sequence_gen_writes(tmp_path, monkeypatch):
+    import recycg.cli
+    solved = []
+
+    def spy(systems, *args):
+        systems = list(systems)
+        solved.append(systems)
+        return run_sequence(systems, *args)
+
+    run_sequence = recycg.cli.run_sequence
+    monkeypatch.setattr(recycg.cli, "run_sequence", spy)
+    config = write_config(tmp_path, SMALL_CONFIG.replace("seed: 0", "seed: 3")
+                                                .replace("[none, trks]", "[none]"))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert main(["gen", "--spec", str(config), "--out", str(tmp_path / "seq")]) == 0
+    (systems,) = solved
+    written = sorted((tmp_path / "seq").glob("A_*.mtx"))
+    assert len(written) == len(systems) == 2
+    b = read_matrix_market(tmp_path / "seq" / "b.mtx")
+    for (A, rhs), path in zip(systems, written):
+        np.testing.assert_array_equal(A.values, read_matrix_market(path).values)
+        np.testing.assert_array_equal(rhs, b)
+    # the seed is read: seed 0 draws other matrices
+    seed0 = InclusionGridSpec(grid=(8, 8), inclusion_layout=(((2, 6), (2, 6)),), seed=0)
+    A0, _ = next(generate_diffusion_sequence(seed0, 1))
+    assert not np.array_equal(A0.values, systems[0][0].values)
+
+
+def test_gen_count_default_matches_run(tmp_path):
+    config = write_config(tmp_path, SMALL_CONFIG.replace("count: 2\n", "")
+                                                .replace("[none, trks]", "[none]"))
+    assert main(["gen", "--spec", str(config), "--out", str(tmp_path / "seq")]) == 0
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "runs.csv").read_text().strip().splitlines()[1:]
+    assert len(list((tmp_path / "seq").glob("A_*.mtx"))) == len(rows) == 40
+
+
+def readme_config_block():
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.split("### Configuration format", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("name", [path.name for path in sorted((REPO_ROOT / "configs").glob("*.yaml"))]
+                         + ["README.md"])
+def test_shipped_configs_parse(tmp_path, name):
+    if name == "README.md":
+        path = write_config(tmp_path, readme_config_block())
+    else:
+        path = REPO_ROOT / "configs" / name
+    config = ExperimentConfig.from_file(path)
+    problem, count = read_sequence(path, load_yaml_mapping(path, "spec"))
+    assert (problem, count) == (config.problem, config.count)
+    assert isinstance(problem, InclusionGridSpec)
+
+
+def test_run_writes_events(tmp_path, monkeypatch):
+    import recycg.cli
+    events = [("dropped_column", 2, ("direction", 0, 5)),
+              ("solve_failed", 1, "residual norm is not finite")]
+    monkeypatch.setattr(recycg.cli, "run_sequence",
+                        lambda *args: SequenceReport(events=list(events), aborted=True))
+    out = tmp_path / "out"
+    assert cli_run(write_config(tmp_path, SMALL_CONFIG.replace("[none, trks]", "[trks]")),
+                   out=out) == 1
+    lines = (out / "events.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"run": "trks|jacobi|1e-06", "event": "dropped_column", "index": 2,
+         "origin": ["direction", 0, 5]},
+        {"run": "trks|jacobi|1e-06", "event": "solve_failed", "system": 1,
+         "message": "residual norm is not finite"},
+    ]
+    assert set(json.loads((out / "summary.json").read_text())) == {"trks|jacobi|1e-06"}
 
 
 def test_main_bad_config_exit_code(tmp_path):

@@ -38,6 +38,11 @@ def test_spec_rejects_nonpositive_means():
         InclusionGridSpec(grid=(4, 4), matrix_coeff_mean=0.0)
     with pytest.raises(ContractViolation):
         InclusionGridSpec(grid=(4, 4), rel_std=-0.1)
+    # a NaN spread would make the positive redraw loop forever
+    with pytest.raises(ContractViolation):
+        InclusionGridSpec(grid=(4, 4), rel_std=float("nan"))
+    with pytest.raises(ContractViolation):
+        InclusionGridSpec(grid=(4, 4), matrix_coeff_mean=float("nan"))
 
 
 def test_regular_layout_counts():
@@ -79,6 +84,21 @@ def test_zero_variance_systems_identical():
     for A, b in systems[1:]:
         np.testing.assert_array_equal(A.values, ref.values)
         np.testing.assert_array_equal(b, systems[0][1])
+
+
+def test_scalar_inclusion_mean_is_one_mean_per_block():
+    layout = regular_inclusion_layout((8, 8), 2)
+    scalar = InclusionGridSpec(grid=(8, 8), inclusion_layout=layout,
+                               inclusion_coeff_mean=50.0, seed=4)
+    per_block = InclusionGridSpec(grid=(8, 8), inclusion_layout=layout,
+                                  inclusion_coeff_mean=(50.0,) * 4, seed=4)
+    assert scalar.inclusion_coeff_mean == (50.0,) * 4
+    assert scalar == per_block
+    for (A1, b1), (A2, b2) in zip(generate_diffusion_sequence(scalar, 3),
+                                  generate_diffusion_sequence(per_block, 3)):
+        assert A1.values.tobytes() == A2.values.tobytes()
+        assert A1.col_indices.tobytes() == A2.col_indices.tobytes()
+        assert b1.tobytes() == b2.tobytes()
 
 
 def test_sequence_deterministic():
