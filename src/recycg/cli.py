@@ -180,6 +180,22 @@ def problem_spec_from_dict(problem, path="config"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def read_matrix_files(path, files):
+    """The (A, b) pairs of a ``files`` problem; a file that cannot be read or
+    parsed raises a one-line ConfigError naming it."""
+    def read(file):
+        try:
+            return read_matrix_market(file)
+        except OSError as exc:
+            problem = exc.strerror
+        except ValueError as exc:  # malformed content or an invalid matrix
+            problem = str(exc).splitlines()[0]
+        raise ConfigError(f"{path}: cannot read {file}: {problem}")
+
+    rhs = read(files.rhs)
+    return tuple((read(matrix), rhs) for matrix in files.matrices)
+
+
 def read_sequence(path, raw):
     """``(problem, count)`` of a config mapping, read the same way for ``run``
     and ``gen``: the sequence that ``problem_spec_from_dict`` makes of the
@@ -193,13 +209,20 @@ def read_sequence(path, raw):
             config_value(path, "count", raw.get("count", 40), operator.index, lambda v: v >= 1))
 
 
+def run_key(name, preconditioner, tol):
+    """The key of one run in ``summary.json`` and ``events.jsonl``."""
+    return f"{name}|{preconditioner}|{tol:g}"
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment grid: every (strategy, preconditioner, tolerance)
     combination runs on the one sequence that ``problem`` and ``count`` name.
-    ``strategies`` holds ``(name, RecycleStrategy)`` pairs."""
+    ``problem`` is the spec of a generated sequence or the (A, b) pairs read
+    from a ``files`` problem; ``strategies`` holds ``(name, RecycleStrategy)``
+    pairs."""
 
-    problem: InclusionGridSpec | MatrixFiles
+    problem: InclusionGridSpec | tuple
     count: int
     strategies: list
     preconditioners: list
@@ -215,29 +238,43 @@ class ExperimentConfig:
         try:
             strategies = [_strategy(path, entry)
                           for entry in config_list(path, "strategies", raw["strategies"])]
-            tolerances = config_list(path, "tolerances", raw["tolerances"], float)
+            tolerances = config_list(path, "tolerances", raw["tolerances"], float,
+                                     lambda v: 0.0 < v < 1.0)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from exc
         if not strategies or not tolerances:
             raise ConfigError(f"{path}: strategies and tolerances must be nonempty lists")
-        return cls(problem=problem, count=count, strategies=strategies,
-                   preconditioners=config_list(path, "preconditioners",
-                                               raw.get("preconditioners", ["jacobi"]), str,
-                                               PRECONDITIONERS.__contains__),
-                   tolerances=tolerances,
-                   max_iters=config_value(path, "max_iters", raw.get("max_iters", 2000),
-                                          operator.index, lambda v: v >= 1),
-                   output_dir=config_value(path, "output_dir", raw.get("output_dir", "out"),
-                                           Path))
+        config = cls(problem=problem, count=count, strategies=strategies,
+                     preconditioners=config_list(path, "preconditioners",
+                                                 raw.get("preconditioners", ["jacobi"]), str,
+                                                 PRECONDITIONERS.__contains__),
+                     tolerances=tolerances,
+                     max_iters=config_value(path, "max_iters", raw.get("max_iters", 2000),
+                                            operator.index, lambda v: v >= 1),
+                     output_dir=config_value(path, "output_dir", raw.get("output_dir", "out"),
+                                             Path))
+        keys = set()
+        for name, _, precond, tol in config.runs():
+            if (key := run_key(name, precond, tol)) in keys:
+                raise ConfigError(f"{path}: two runs share the key {key!r}")
+            keys.add(key)
+        if isinstance(problem, MatrixFiles):
+            config.problem = read_matrix_files(path, problem)
+        return config
+
+    def runs(self):
+        """``(name, strategy, preconditioner, tol)`` of every run, in output order."""
+        return [(name, strategy, precond, tol)
+                for name, strategy in self.strategies
+                for precond in self.preconditioners
+                for tol in self.tolerances]
 
 
 def _systems(config):
     """The (A, b) pairs of the configured sequence."""
-    problem = config.problem
-    if isinstance(problem, MatrixFiles):
-        rhs = read_matrix_market(problem.rhs)
-        return [(read_matrix_market(mat_path), rhs) for mat_path in problem.matrices]
-    return generate_diffusion_sequence(problem, config.count)
+    if isinstance(config.problem, InclusionGridSpec):
+        return generate_diffusion_sequence(config.problem, config.count)
+    return config.problem
 
 
 @dataclass
@@ -250,8 +287,7 @@ class RunResult:
 
     @property
     def key(self):
-        """The run's key in ``summary.json`` and ``events.jsonl``."""
-        return f"{self.name}|{self.preconditioner}|{self.tol:g}"
+        return run_key(self.name, self.preconditioner, self.tol)
 
 
 def _run_one(config, name, strategy, precond, tol):
@@ -337,10 +373,7 @@ def cli_run(config_path, out=None):
     """Run the full experiment grid; returns a process exit status."""
     config = ExperimentConfig.from_file(config_path)
     out_dir = Path(out) if out else config.output_dir
-    results = [_run_one(config, name, strategy, precond, tol)
-               for name, strategy in config.strategies
-               for precond in config.preconditioners
-               for tol in config.tolerances]
+    results = [_run_one(config, *run) for run in config.runs()]
     summary = _write_outputs(results, out_dir)
     return 0 if all(entry["all_converged"] for entry in summary.values()) else 1
 
@@ -352,8 +385,8 @@ def _trace_lines(artifact):
     lines = [f"trace: {m} iterations, converged={trace.converged}"]
     if m < 1:
         return lines
-    alphas = np.asarray(trace.alphas[:m], dtype=np.float64)
-    if len(alphas) != m or not np.all(np.isfinite(alphas) & (alphas > 0.0)):
+    alphas = np.asarray(trace.alphas, dtype=np.float64)
+    if not np.all(np.isfinite(alphas) & (alphas > 0.0)):
         raise ContractViolation("need one finite positive alpha per iteration")
     # the run's own selection, on the values alone: a saved trace does not
     # carry the search directions that Ritz vectors are built from

@@ -52,12 +52,8 @@ class AugmentationState:
     origin_tags: list = field(default_factory=list)
 
     @classmethod
-    def from_initial(cls, n, C0=None):
-        C0 = np.zeros((n, 0)) if C0 is None else np.asarray(C0, dtype=np.float64)
-        if C0.ndim != 2 or C0.shape[0] != n:
-            raise ContractViolation("initial basis must have n rows")
-        tags = [("initial", j) for j in range(C0.shape[1])]
-        return cls(C0.copy(), tags)
+    def from_initial(cls, n):
+        return cls(np.zeros((n, 0)))
 
     @property
     def n_c(self):
@@ -122,10 +118,9 @@ def update_basis_trks(state: AugmentationState, trace: SolveTrace, system_index=
         return
     if trace.directions is None:
         raise ContractViolation("trace has no search directions (solve with reorthogonalize)")
+    # every stored direction passed (w, Aw) > 0, so none has zero norm
     W = trace.directions.T
-    norms = np.linalg.norm(W, axis=0)
-    keep = norms > 0.0
-    W = W[:, keep] / norms[keep]
+    W = W / np.linalg.norm(W, axis=0)
     tags = [("direction", system_index, j) for j in range(W.shape[1])]
     state.append(W, tags)
 
@@ -196,6 +191,8 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
             report.aborted = True
             break
         solve_seconds = perf_counter() - t0
+        # free the old basis, AC and coarse factor before the basis grows
+        del D
 
         t0 = perf_counter()
         if trace.converged and trace.iterations > 0:
@@ -214,8 +211,8 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
             n_c_selected=selected, solve_seconds=solve_seconds,
             augmentation_seconds=build_seconds + update_seconds,
             final_residual=final_rel, converged=trace.converged))
-        # free the old basis, AC, coarse factor and Krylov block before the next build
-        del D, trace
+        # free the Krylov block before the next build
+        del trace
     if state is not None:
         report.final_basis = state.basis
     return report

@@ -86,14 +86,14 @@ class DeflationOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ContractViolation("vector length mismatch in project")
+        # plain PCG projects once per iteration; on an empty basis the general
+        # path costs tens of times more than this copy
         if self.n_c == 0:
             return x.copy()
         return x - self.basis @ self.coarse_solve(self.ac.T @ x)
 
     def initial_guess(self, b):
         """x_0 = C (C^T A C)^{-1} C^T b"""
-        if self.n_c == 0:
-            return np.zeros(self.n)
         return self.basis @ self.coarse_solve(self.basis.T @ b)
 
 
@@ -105,12 +105,8 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
     below ``RANK_GUARD_RTOL`` times the largest pivot before it.
     """
     C = np.asarray(C, dtype=np.float64)
-    if C.size == 0:
-        C = C.reshape(A.n, 0)
     if C.ndim != 2 or C.shape[0] != A.n or C.shape[1] > A.n:
         raise ContractViolation("augmentation basis must be n x n_c with n_c <= n")
-    if C.shape[1] == 0:
-        return DeflationOperator(C, C.copy(), np.zeros((0, 0)))
     ac = A @ C
     coarse = C.T @ ac
     coarse = 0.5 * (coarse + coarse.T)
@@ -153,8 +149,9 @@ class SolveTrace:
     w_j = z_j + beta_{j-1} w_{j-1} - c_j @ directions[:j], from which
     ``ritz.lanczos_from_trace`` recovers the projected preconditioned
     residuals z_j; otherwise ``directions`` stays None and ``sweeps`` empty.
-    A run stopped by the iteration cap has m betas and m sweeps, the last of
-    each for a direction that was never used.
+    ``iterations`` is the number of alphas, m.  A run stopped by the
+    iteration cap has m betas and m sweeps, the last of each for a direction
+    that was never used.
     """
 
     alphas: list = field(default_factory=list)
@@ -162,10 +159,13 @@ class SolveTrace:
     rz_inner: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     sweeps: list = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     directions: np.ndarray | None = None
     true_residual_norm: float = math.nan  # ||b - A x|| of the returned x
+
+    @property
+    def iterations(self):
+        return len(self.alphas)
 
     def to_json_dict(self):
         """The coefficients and residual norms; no Krylov vectors are written."""
@@ -180,12 +180,17 @@ class SolveTrace:
 
     @classmethod
     def from_json_dict(cls, d):
+        """The trace of ``to_json_dict``; an ``iterations`` entry that is not
+        the number of alphas is rejected."""
+        alphas = list(d.get("alphas", []))
+        if int(d.get("iterations", len(alphas))) != len(alphas):
+            raise ContractViolation(f"iterations {d['iterations']!r} is not the number "
+                                    f"of alphas ({len(alphas)})")
         return cls(
-            alphas=list(d.get("alphas", [])),
+            alphas=alphas,
             betas=list(d.get("betas", [])),
             rz_inner=list(d.get("rz_inner", [])),
             residual_norms=list(d.get("residual_norms", [])),
-            iterations=int(d.get("iterations", len(d.get("alphas", [])))),
             converged=bool(d.get("converged", False)),
         )
 
@@ -212,7 +217,7 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
     trace = SolveTrace()
     x = D.initial_guess(b)
 
-    r = b - A @ x if D.n_c else b.copy()
+    r = b - A @ x
     r0_norm = float(np.linalg.norm(r))
     trace.residual_norms.append(r0_norm)
     b_norm = float(np.linalg.norm(b))
@@ -253,7 +258,6 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         if not math.isfinite(rnorm):
             raise NumericalFailure("residual norm is not finite")
         trace.residual_norms.append(rnorm)
-        trace.iterations += 1
 
         if cfg.reorthogonalize:
             if stored == cap:

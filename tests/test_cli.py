@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from recycg import (InclusionGridSpec, RecycleStrategy, SequenceReport,
-                    generate_diffusion_sequence, read_matrix_market)
+                    generate_diffusion_sequence, read_matrix_market, write_matrix_market)
 from recycg.cli import (CSV_HEADER, ConfigError, ExperimentConfig, cli_gen,
                         cli_inspect, cli_run, load_yaml_mapping, main,
                         problem_spec_from_dict, read_sequence)
@@ -247,7 +247,10 @@ def test_inspect_missing_artifact(tmp_path):
     ('{"alphas": [1.0, 2.0], "betas": [-1.0]}', "negative beta coefficient"),
     ('{"alphas": [1.0, "two"], "betas": [0.5]}', "could not convert string to float"),
     ('{"alphas": [1.0, 0.0], "betas": [0.5]}', "need one finite positive alpha per iteration"),
-], ids=["malformed", "list", "betas-short", "beta-negative", "alpha-word", "alpha-zero"])
+    ('{"alphas": [1.0, 2.0], "betas": [0.5], "iterations": 1}',
+     "iterations 1 is not the number of alphas (2)"),
+], ids=["malformed", "list", "betas-short", "beta-negative", "alpha-word", "alpha-zero",
+        "iterations"])
 def test_inspect_malformed_artifact(tmp_path, capsys, text, message):
     path = tmp_path / "artifact.json"
     path.write_text(text)
@@ -333,9 +336,17 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     ("count: 2", "count: 2\nseeds: [0, one]", "unknown config keys ['seeds']"),
     ("count: 2", "count: 2\nseeds: 3", "unknown config keys ['seeds']"),
     ("[jacobi]", "[jacobi, ilu]", "bad preconditioners value 'ilu'"),
+    # two runs with one key would share a summary entry and the .dat curves
+    ("[none, trks]", "[{kind: srks, epsilon: 1.0e-6}, {kind: srks, epsilon: 1.0e-10}]",
+     "two runs share the key 'srks|jacobi|1e-06'"),
+    ("[none, trks]", "[trks, trks]", "two runs share the key 'trks|jacobi|1e-06'"),
+    ("[jacobi]", "[jacobi, jacobi]", "two runs share the key 'none|jacobi|1e-06'"),
+    ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, 1.0000001e-6]",
+     "two runs share the key 'none|jacobi|1e-06'"),
 ], ids=["unknown-key", "nc_limit", "min_cluster", "epsilon", "strategy-list",
         "strategies-string", "tolerance", "max_iters-word", "max_iters-float",
-        "count", "seed", "seeds-scalar", "preconditioner"])
+        "count", "seed", "seeds-scalar", "preconditioner", "same-inline-name",
+        "same-strategy", "same-preconditioner", "same-printed-tol"])
 def test_run_config_errors_exit_2(tmp_path, capsys, old, new, message):
     assert old in SMALL_CONFIG
     config = write_config(tmp_path, SMALL_CONFIG.replace(old, new))
@@ -343,6 +354,40 @@ def test_run_config_errors_exit_2(tmp_path, capsys, old, new, message):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_tolerance_out_of_range_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+    import recycg.cli
+    solved = []
+    monkeypatch.setattr(recycg.cli, "run_sequence", lambda *args: solved.append(args))
+    config = write_config(tmp_path, SMALL_CONFIG.replace("tolerances: [1.0e-6]",
+                                                         "tolerances: [1.0e-6, 2.0]"))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: bad tolerances value 2.0\n"
+    assert solved == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rhs, matrix, message", [
+    ("nob.mtx", "A.mtx", "cannot read nob.mtx: No such file or directory"),
+    ("b.mtx", "bad.mtx", "cannot read bad.mtx: bad.mtx:1: missing MatrixMarket header"),
+], ids=["missing", "malformed"])
+def test_run_unreadable_files_exit_2(tmp_path, capsys, monkeypatch, rhs, matrix, message):
+    import recycg.cli
+    monkeypatch.chdir(tmp_path)
+    A, b = next(generate_diffusion_sequence(InclusionGridSpec(grid=(4, 4)), 1))
+    write_matrix_market(tmp_path / "A.mtx", A)
+    write_matrix_market(tmp_path / "b.mtx", b)
+    (tmp_path / "bad.mtx").write_text("not a matrix\n")
+    solved = []
+    monkeypatch.setattr(recycg.cli, "run_sequence", lambda *args: solved.append(args))
+    config = write_config(tmp_path, f"problem:\n  kind: files\n  rhs: {rhs}\n"
+                                    f"  matrices: [{matrix}]\nstrategies: [none]\n"
+                                    "tolerances: [1.0e-6]\n")
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and message in err and err.count("\n") == 1
+    assert solved == [] and not (tmp_path / "out").exists()
 
 
 # problem and count are read by one function for run and gen alike

@@ -47,8 +47,9 @@ def test_strategy_validation():
 
 
 def test_augmentation_state_bookkeeping(rng):
-    C0 = rng.standard_normal((6, 2))
-    state = AugmentationState.from_initial(6, C0)
+    state = AugmentationState.from_initial(6)
+    assert state.n_c == 0
+    state.append(rng.standard_normal((6, 2)), [("initial", j) for j in range(2)])
     assert state.n_c == 2
     state.append(rng.standard_normal((6, 3)), [("ritz", 0, 1.0)] * 3)
     assert state.n_c == 5
@@ -61,7 +62,8 @@ def test_guarded_deflation_drops_dependent_columns(rng):
     A = random_spd_matrix(8, rng)
     good = rng.standard_normal((8, 2))
     C = np.column_stack([good, good[:, 0] + 2.0 * good[:, 1]])
-    state = AugmentationState.from_initial(8, C)
+    state = AugmentationState.from_initial(8)
+    state.append(C, [("initial", j) for j in range(3)])
     events = []
     D = guarded_deflation(A, state, events)
     assert D.n_c == 2
@@ -86,7 +88,8 @@ def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
 
 def test_guarded_deflation_all_columns_dependent(rng):
     A = random_spd_matrix(8, rng)
-    state = AugmentationState.from_initial(8, np.zeros((8, 3)))
+    state = AugmentationState.from_initial(8)
+    state.append(np.zeros((8, 3)), [("initial", j) for j in range(3)])
     events = []
     D = guarded_deflation(A, state, events)
     assert events == [("dropped_column", 0, ("initial", j)) for j in range(3)]
@@ -293,6 +296,8 @@ def test_removed_sequence_settings_are_rejected(rng):
     with pytest.raises(TypeError):
         run_sequence([(A, np.ones(6))], Preconditioner.jacobi, RecycleStrategy(),
                      SolveConfig(), C0=np.eye(6)[:, :1])
+    with pytest.raises(TypeError):
+        AugmentationState.from_initial(6, np.eye(6)[:, :1])
 
 
 def test_record_bookkeeping(rng):
@@ -410,6 +415,33 @@ def test_step_frees_operator_and_trace_before_next_build(monkeypatch, rng, kind)
                  lambda A: Preconditioner.identity(), RecycleStrategy(kind),
                  SolveConfig(tol=1e-4, max_iters=100))
     assert alive_at_build == [[], [False, False], [False] * 4]
+
+
+@pytest.mark.parametrize("kind", ["trks", "srks", "srks_cluster"])
+def test_operator_freed_before_basis_update(monkeypatch, rng, kind):
+    # the step's AC block and coarse factor are gone before the basis grows
+    operators, alive_at_update = [], []
+
+    def deflation_spy(A, state, events=None):
+        D = guarded_deflation(A, state, events)
+        operators.append(weakref.ref(D))
+        return D
+
+    def update_spy(update):
+        def spy(*args, **kwargs):
+            alive_at_update.append([ref() is not None for ref in operators])
+            return update(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(recycle, "guarded_deflation", deflation_spy)
+    for name in ("update_basis_trks", "update_basis_srks"):
+        monkeypatch.setattr(recycle, name, update_spy(getattr(recycle, name)))
+    A = random_spd_matrix(15, rng, condition=10.0)
+    run_sequence(constant_sequence(A, rng.standard_normal(15), 3),
+                 lambda A: Preconditioner.identity(), RecycleStrategy(kind, 1e-6),
+                 SolveConfig(tol=1e-4, max_iters=100))
+    assert alive_at_update and all(not any(alive) for alive in alive_at_update)
+    assert len(alive_at_update[0]) == 1
 
 
 def test_failed_solve_aborts_with_partial_report(rng):

@@ -276,6 +276,17 @@ def test_trace_json_round_trip(rng):
     assert old.directions is None and old.sweeps == [] and old.alphas == back.alphas
 
 
+def test_trace_iterations_is_the_number_of_alphas(rng):
+    A = random_spd_matrix(10, rng)
+    _, trace = solve(A, rng.standard_normal(10))
+    assert trace.iterations == len(trace.alphas) > 0
+    d = trace.to_json_dict()
+    assert d["iterations"] == trace.iterations
+    with pytest.raises(ContractViolation, match="is not the number of alphas"):
+        SolveTrace.from_json_dict({**d, "iterations": trace.iterations - 1})
+    assert SolveTrace.from_json_dict({"alphas": [1.0, 2.0]}).iterations == 2
+
+
 # ---------------------------------------------------------------------------
 # equivalence properties
 
