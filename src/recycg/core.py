@@ -189,7 +189,7 @@ def dense_sym_eig(G) -> EigDecomposition:
     return _as_descending(values, vectors)
 
 
-def dense_cholesky(G, pivot_rtol=0.0):
+def dense_cholesky(G, pivot_rtol=0.0, lower_only=False):
     """Lower Cholesky factor of a dense symmetric positive definite matrix.
 
     One LAPACK ``potrf`` call for every size; the pivot guard is applied to
@@ -202,6 +202,11 @@ def dense_cholesky(G, pivot_rtol=0.0):
     pivot_rtol : float
         Pivots below ``pivot_rtol`` times the largest pivot seen so far are
         treated as rank deficiencies (used as the basis rank guard).
+    lower_only : bool
+        ``G`` is a column-major float64 array that holds the matrix in its
+        lower triangle only, as ``solver.build_deflation`` forms it.  The
+        upper triangle is neither read nor checked for symmetry, and ``G``
+        is overwritten by the factor, so no copy of it is made.
 
     Raises
     ------
@@ -209,16 +214,22 @@ def dense_cholesky(G, pivot_rtol=0.0):
         On a non-positive, non-finite or guarded pivot; carries the offending
         column index so the caller can drop dependent columns.
     """
-    G = np.asarray(G, dtype=np.float64)
+    if lower_only:
+        if not (isinstance(G, np.ndarray) and G.dtype == np.float64
+                and G.flags.f_contiguous and G.flags.writeable):
+            raise ContractViolation("lower_only needs a writable column-major float64 array")
+    else:
+        G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ContractViolation("input must be square")
-    scale = np.linalg.norm(G)
-    if scale > 0 and np.linalg.norm(G - G.T) > 1e-12 * scale:
-        raise ContractViolation("input is not symmetric")
+    if not lower_only:
+        scale = np.linalg.norm(G)
+        if scale > 0 and np.linalg.norm(G - G.T) > 1e-12 * scale:
+            raise ContractViolation("input is not symmetric")
     # LAPACK stops at the first non-positive pivot and reports its column as
     # info - 1; the columns after it are left unfactored.  It lets NaN pivots
     # through, so the factor is checked for finiteness here.
-    L, info = scipy.linalg.lapack.dpotrf(G, lower=1, clean=1)
+    L, info = scipy.linalg.lapack.dpotrf(G, lower=1, clean=1, overwrite_a=int(lower_only))
     d = np.diag(L) ** 2
     prev_max = np.concatenate(([0.0], np.maximum.accumulate(d)[:-1]))
     bad = ~np.isfinite(L).all(axis=0) | (d <= prev_max * pivot_rtol) | (d <= 0.0)

@@ -43,28 +43,52 @@ class RecycleStrategy:
             raise ContractViolation("epsilon must be positive for SRKS kinds")
 
 
-@dataclass
 class AugmentationState:
     """Current augmentation basis with per-column provenance; a run starts
-    from ``from_initial(n)``, the empty basis."""
+    from ``from_initial(n)``, the empty basis.
 
-    basis: np.ndarray
-    origin_tags: list = field(default_factory=list)
+    The columns live in one column-major block with spare columns that grows
+    geometrically, so an append copies the existing columns only when the
+    block is full, and a dropped column is closed up in place.  ``basis`` is
+    a view of the columns in use; it shares memory with the block and is
+    valid until the next ``append`` or ``drop_column``.
+    """
+
+    def __init__(self, n):
+        self._block = np.empty((n, 0), order="F")
+        self.n_c = 0
+        self.origin_tags = []
 
     @classmethod
     def from_initial(cls, n):
-        return cls(np.zeros((n, 0)))
+        return cls(n)
 
     @property
-    def n_c(self):
-        return self.basis.shape[1]
+    def basis(self):
+        return self._block[:, :self.n_c]
 
-    def append(self, block, tags):
-        self.basis = np.column_stack([self.basis, block]) if block.size else self.basis
+    def append(self, block, tags, divisors=None):
+        """Store the columns of ``block``, column j divided by ``divisors[j]``
+        when given, after the current ones."""
+        n, k = self._block.shape[0], block.shape[1]
+        end = self.n_c + k
+        if end > self._block.shape[1]:
+            grown = np.empty((n, max(end, 2 * self._block.shape[1])), order="F")
+            grown[:, :self.n_c] = self.basis
+            self._block = grown
+        if divisors is None:
+            self._block[:, self.n_c:end] = block
+        else:
+            np.divide(block, divisors, out=self._block[:, self.n_c:end])
+        self.n_c = end
         self.origin_tags.extend(tags)
 
     def drop_column(self, index):
-        self.basis = np.delete(self.basis, index, axis=1)
+        # one column at a time: an overlapping slice assignment would copy
+        # the shifted columns into a temporary first
+        for j in range(index, self.n_c - 1):
+            self._block[:, j] = self._block[:, j + 1]
+        self.n_c -= 1
         del self.origin_tags[index]
 
 
@@ -119,10 +143,9 @@ def update_basis_trks(state: AugmentationState, trace: SolveTrace, system_index=
     if trace.directions is None:
         raise ContractViolation("trace has no search directions (solve with reorthogonalize)")
     # every stored direction passed (w, Aw) > 0, so none has zero norm
-    W = trace.directions.T
-    W = W / np.linalg.norm(W, axis=0)
-    tags = [("direction", system_index, j) for j in range(W.shape[1])]
-    state.append(W, tags)
+    W = trace.directions
+    tags = [("direction", system_index, j) for j in range(len(W))]
+    state.append(W.T, tags, divisors=np.linalg.norm(W, axis=1))
 
 
 def update_basis_srks(state: AugmentationState, spectrum, system_index=0):
@@ -132,9 +155,8 @@ def update_basis_srks(state: AugmentationState, spectrum, system_index=0):
     values = spectrum.values[spectrum.converged_mask]
     if spectrum.vectors.shape[1] != len(values):
         raise ContractViolation("spectrum needs one vector per flagged value")
-    block = spectrum.vectors / np.sqrt(np.abs(values))
     tags = [("ritz", system_index, float(theta)) for theta in values]
-    state.append(block, tags)
+    state.append(spectrum.vectors, tags, divisors=np.sqrt(np.abs(values)))
 
 
 def flag_spectrum(tridiag, values, strategy: RecycleStrategy):
@@ -191,7 +213,8 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
             report.aborted = True
             break
         solve_seconds = perf_counter() - t0
-        # free the old basis, AC and coarse factor before the basis grows
+        # free the coarse factor and the operator's view of the basis block
+        # before the basis grows, so a regrown block never sits beside the old
         del D
 
         t0 = perf_counter()

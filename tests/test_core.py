@@ -180,6 +180,17 @@ def test_cholesky_rank_deficient_large_reports_column(rng):
         assert exc_info.value.column == column
 
 
+def test_cholesky_lower_only_factors_in_place(rng):
+    G = random_spd(30, rng)
+    lower = np.asfortranarray(np.tril(G))
+    lower[np.triu_indices(30, 1)] = np.nan  # the upper triangle is never read
+    L = dense_cholesky(lower, lower_only=True)
+    assert np.shares_memory(L, lower)
+    np.testing.assert_array_equal(L, dense_cholesky(G))
+    with pytest.raises(ContractViolation):
+        dense_cholesky(np.ascontiguousarray(G), lower_only=True)  # row-major
+
+
 def test_cholesky_rejects_asymmetric():
     with pytest.raises(ContractViolation):
         dense_cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))

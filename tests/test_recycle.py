@@ -58,6 +58,38 @@ def test_augmentation_state_bookkeeping(rng):
     assert len(state.origin_tags) == 4
 
 
+def test_augmentation_block_grows_and_closes_up(rng):
+    """Appends past the spare columns and drops at the first, a middle and
+    the last column match a column_stack / np.delete reference; the operator
+    built on the state reads its block, not a copy."""
+    n = 40
+    state = AugmentationState.from_initial(n)
+    ref, ref_tags = np.zeros((n, 0)), []
+    # capacity goes 3, 6, 12, 24: the appends of 1, 5 and 9 columns overflow it
+    for k, size in enumerate((3, 1, 5, 2, 9)):
+        block = rng.standard_normal((n, size))
+        tags = [("direction", k, j) for j in range(size)]
+        divisors = rng.uniform(0.5, 2.0, size) if k % 2 else None
+        before = state.basis
+        state.append(block, tags, divisors=divisors)
+        if k == 3:  # fits in the spare columns: the block is not copied
+            assert np.shares_memory(before, state.basis)
+        ref = np.column_stack([ref, block if divisors is None else block / divisors])
+        ref_tags += tags
+        np.testing.assert_array_equal(state.basis, ref)
+        assert state.origin_tags == ref_tags
+    assert state.basis.flags.f_contiguous
+    D = build_deflation(random_spd_matrix(n, rng), state.basis)
+    assert np.shares_memory(D.basis, state.basis)
+    for index in (0, 9, 17):
+        state.drop_column(index)
+        ref = np.delete(ref, index, axis=1)
+        del ref_tags[index]
+        np.testing.assert_array_equal(state.basis, ref)
+        assert state.origin_tags == ref_tags
+    assert state.n_c == 17
+
+
 def test_guarded_deflation_drops_dependent_columns(rng):
     A = random_spd_matrix(8, rng)
     good = rng.standard_normal((8, 2))

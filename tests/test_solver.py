@@ -1,7 +1,11 @@
 """Deflated CG solver tests: projector contracts, trace contracts,
 equivalence with explicitly projected / split-preconditioned formulations."""
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from recycg import (ContractViolation, NumericalFailure, Preconditioner,
                     SolveConfig, SolveTrace, SparseSpdMatrix, apcg_solve,
@@ -139,6 +143,45 @@ def test_build_deflation_rejects_bad_shapes(rng):
         build_deflation(A, np.ones((3, 1)))
     with pytest.raises(ContractViolation):
         build_deflation(A, np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("n_c", [20, 37, 60, 220])
+def test_coarse_solve_bit_identical_to_two_triangular_solves(rng, n_c):
+    A = random_spd_matrix(240, rng)
+    D = build_deflation(A, rng.standard_normal((240, n_c)))
+    rhs = rng.standard_normal(n_c)
+    L = D.coarse_factor
+    y = scipy.linalg.solve_triangular(L, rhs, lower=True, check_finite=False)
+    expected = scipy.linalg.solve_triangular(L.T, y, lower=False, check_finite=False)
+    np.testing.assert_array_equal(D.coarse_solve(rhs), expected)
+
+
+def test_coarse_solve_on_empty_basis():
+    A = SparseSpdMatrix.from_dense(np.diag([1.0, 2.0]))
+    out = build_deflation(A, np.zeros((2, 0))).coarse_solve(np.zeros(0))
+    assert out.shape == (0,)
+
+
+def test_deflation_keeps_no_block_beside_the_basis():
+    """Building the operator and projecting once at n 4096, n_c 300 allocate
+    less than one n x n_c block: the operator stores no A C, and the coarse
+    matrix is formed from column chunks of A C and factored in place."""
+    grid = 64
+    lap = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid, grid))
+    eye = scipy.sparse.identity(grid)
+    A = SparseSpdMatrix.from_scipy(scipy.sparse.kron(lap, eye) + scipy.sparse.kron(eye, lap))
+    rng = np.random.default_rng(0)
+    C = np.asfortranarray(rng.standard_normal((A.n, 300)))
+    x = rng.standard_normal(A.n)
+    tracemalloc.start()
+    try:
+        D = build_deflation(A, C)
+        D.project(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(D.basis, C)
+    assert peak < C.nbytes
 
 
 # ---------------------------------------------------------------------------
