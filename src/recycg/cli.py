@@ -326,7 +326,8 @@ def _summaries(results):
 
 # the fields after the kind of each SequenceReport event tuple
 EVENT_FIELDS = {"dropped_column": ("index", "origin"),
-                "solve_failed": ("system", "message")}
+                "solve_failed": ("system", "message"),
+                "swept_resolve": ("system", "iterations")}
 
 
 def _write_outputs(results, out_dir):

@@ -3,10 +3,10 @@ Multiresolution drivers: solve a sequence of SPD systems while accumulating
 an augmentation basis from earlier solves.
 
 Strategies: no recycling (baseline), total reuse of all search directions,
-selective reuse of Ritz vectors with stagnated Ritz values (optionally
-restricted to the external part of the spectrum by the cluster filter).
-The basis starts empty and only grows; a coarse-Cholesky rank guard drops
-the columns that become dependent.
+swept A-orthogonal, and selective reuse of the Ritz vectors of unswept
+directions whose Ritz values stagnated (optionally restricted to the external
+part of the spectrum by the cluster filter).  The basis starts empty and only
+grows; a coarse-Cholesky rank guard drops the columns that become dependent.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ NONE = "none"
 TRKS = "trks"
 SRKS = "srks"
 SRKS_CLUSTER = "srks_cluster"
+STORE = {NONE: "none", TRKS: "swept", SRKS: "directions", SRKS_CLUSTER: "directions"}
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,8 @@ def update_basis_trks(state: AugmentationState, trace: SolveTrace, system_index=
     if trace.iterations == 0:
         return
     if trace.directions is None:
-        raise ContractViolation("trace has no search directions (solve with reorthogonalize)")
+        raise ContractViolation("trace has no search directions (TRKS solves store them "
+                                "swept, as its basis: unswept, they lose A-orthogonality)")
     # every stored direction passed (w, Aw) > 0, so none has zero norm
     W = trace.directions
     tags = [("direction", system_index, j) for j in range(len(W))]
@@ -188,11 +190,13 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
     The basis starts empty, grows by what the strategy keeps from each
     converged solve and loses the columns that the rank guard drops.
     ``M_factory`` maps each operator to its preconditioner.  Only ``tol`` and
-    ``max_iters`` of ``cfg`` are used; reorthogonalization is off for
-    ``none``, which reuses nothing, and on for the recycling strategies.  A
-    failed solve aborts the run with a partial report.
+    ``max_iters`` of ``cfg`` are used; the store is the strategy's ``STORE``
+    (only TRKS sweeps; ``SolveConfig`` says why).  An unswept solve of m >= n
+    iterations (more Krylov vectors than unknowns: orthogonality is lost) is
+    solved again swept and logged as a ``swept_resolve`` event.  A failed
+    solve aborts with a partial report.
     """
-    run_cfg = replace(cfg, reorthogonalize=strategy.kind != NONE)
+    run_cfg = replace(cfg, store=STORE[strategy.kind])
     report = SequenceReport()
     state = None
     for k, (A, b) in enumerate(systems):
@@ -208,6 +212,9 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
         t0 = perf_counter()
         try:
             x, trace = apcg_solve(A, M, D, b, run_cfg)
+            if run_cfg.store == "directions" and trace.iterations >= A.n:
+                report.events.append(("swept_resolve", k, trace.iterations))
+                x, trace = apcg_solve(A, M, D, b, replace(run_cfg, store="swept"))
         except NumericalFailure as exc:
             report.events.append(("solve_failed", k, str(exc)))
             report.aborted = True

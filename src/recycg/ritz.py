@@ -5,12 +5,12 @@ The CG coefficients of one solve determine the Lanczos tridiagonal of the
 projected preconditioned operator; its eigenpairs (Ritz pairs) approximate
 eigenpairs of that operator.  This module rebuilds the tridiagonal from a
 trace and expresses the Lanczos basis in the trace's search directions (the
-CG-Lanczos relation, recombined by the reorthogonalization sweep
-coefficients), computes Ritz values and forms Ritz vectors only for the
-values a selection keeps, flags converged values (a boolean mask) by
-stagnation against the one-step-shorter spectrum, isolates the external
-part of the spectrum with a piecewise-constant gap model, and evaluates
-the iteration-count predictors used as diagnostics.
+CG-Lanczos relation; only TRKS sweeps its directions, since plain CG's lost
+orthogonality only repeats the converged values SRKS selects), computes Ritz
+values and forms Ritz vectors only for the values a selection keeps, flags
+converged values (a boolean mask) by stagnation against the one-step-shorter
+spectrum, isolates the external part of the spectrum with a piecewise-constant
+gap model, and evaluates the iteration-count predictors used as diagnostics.
 """
 from __future__ import annotations
 
@@ -92,17 +92,20 @@ def lanczos_from_trace(trace: SolveTrace) -> LanczosView:
     """Recover the Lanczos view of a solve from its captured trace.
 
     Direction j is w_j = z_j + beta_{j-1} w_{j-1} - sum_{i<j} c_{j,i} w_i,
-    with c_j the reorthogonalization sweep coefficients in ``trace.sweeps``.
-    So z_j = W^T U e_j for the unit upper triangular U with U[j-1, j] =
-    c_{j,j-1} - beta_{j-1} and U[i, j] = c_{j,i} for i < j - 1.  The c_j
-    are small but not negligible: without them the kept Ritz vectors were
-    off by up to 2.6e-6 relative at epsilon 1e-2.
+    with c_j the sweep coefficients in ``trace.sweeps``.  So z_j = W^T U e_j
+    for the unit upper triangular U with U[j-1, j] = c_{j,j-1} - beta_{j-1}
+    and U[i, j] = c_{j,i} for i < j - 1.  An unswept trace (SRKS, whose
+    selected Ritz values survive plain CG's loss of orthogonality) has no
+    sweeps, and U is the bidiagonal of z_j = w_j - beta_{j-1} w_{j-1}; a
+    swept (TRKS) one needs its c_j (without them the kept Ritz vectors were
+    off by up to 2.6e-6 relative at epsilon 1e-2).
     """
     if trace.iterations < 1:
         raise ContractViolation("trace has no iterations")
     m = trace.iterations
-    if trace.directions is None or len(trace.sweeps) < m - 1:
-        raise ContractViolation("trace has no search directions (solve with reorthogonalize)")
+    if trace.directions is None or 0 < len(trace.sweeps) < m - 1:
+        raise ContractViolation("trace has no search directions (SRKS solves store "
+                                "them unswept; only TRKS, which appends them, sweeps)")
     # a run stopped by the iteration cap has one trailing beta and sweep with
     # no successor direction; the view only uses the first m - 1
     betas = np.asarray(trace.betas[:m - 1], dtype=np.float64)

@@ -6,13 +6,12 @@ on top of a fixed augmentation subspace spanned by the columns of C.  The
 initialization solves the coarse problem exactly, so the residual stays
 C-orthogonal throughout.  The deflation operator stores C, the operator A and
 the Cholesky factor of C^T A C, no A C block: A is symmetric, so a projection
-applies (A C)^T x as C^T (A x) with one SpMV.  Full reorthogonalization of
-the search directions against a stored block is on unless the configuration
-turns it off.  The trace records the coefficients and residual norms of
-every iteration; a reorthogonalized solve also hands its direction block over
-as the trace's search directions, its only Krylov store, and keeps the sweep
-coefficients from which spectral post-processing recombines the
-preconditioned residuals.
+applies (A C)^T x as C^T (A x) with one SpMV.  The trace records the
+coefficients and residual norms of every iteration, and the search directions
+when the solve stores them.  A swept solve (TRKS, whose basis is the
+directions) also sweeps each one A-orthogonal against the earlier ones and
+keeps the coefficients; SRKS needs no sweep, since plain CG loses
+orthogonality only by repeating converged Ritz values (see SolveConfig).
 """
 from __future__ import annotations
 
@@ -141,21 +140,24 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
 
 @dataclass
 class SolveConfig:
-    """Tolerance, iteration cap and the reorthogonalization switch of one solve.
+    """Tolerance, iteration cap and direction store of one solve.
 
-    ``reorthogonalize`` sweeps each new search direction against all stored
-    ones in the A-inner product and keeps what Krylov recycling reads: the
-    stored direction block and the sweep coefficients.  ``run_sequence``
-    sets it from the strategy: off for ``none``, which reuses nothing, and on
-    for the recycling strategies, whose reused directions and Ritz vectors
-    depend on orthogonality.
+    ``store`` keeps nothing, the search directions, or the directions each
+    swept A-orthogonal against all earlier ones.  ``run_sequence`` sets it
+    from the strategy: ``none`` keeps nothing; TRKS sweeps, since its basis
+    is the directions (unswept, its tol 1e-6 benchmark run aborts at system
+    29 with (r, z) <= 0); SRKS does not, since plain CG loses orthogonality
+    only by repeating converged Ritz values, and without the sweep its
+    selections at epsilon >= 1e-4 are the same.
     """
 
     tol: float = 1e-6
     max_iters: int = 1000
-    reorthogonalize: bool = True
+    store: str = "swept"
 
     def __post_init__(self):
+        if self.store not in ("none", "directions", "swept"):
+            raise ContractViolation(f"unknown direction store {self.store!r}")
         if not 0.0 < self.tol < 1.0:
             raise ContractViolation("tol must be in (0, 1)")
         if self.max_iters < 1:
@@ -168,15 +170,13 @@ class SolveTrace:
 
     ``betas[j]`` is the positive Gram-Schmidt ratio (r_{j+1}, z_{j+1}) /
     (r_j, z_j) coupling directions j and j+1, so the Lanczos tridiagonal can
-    be rebuilt from ``alphas``/``betas`` alone.  A reorthogonalized solve
-    sets ``directions`` to its (m, n) block of search directions, one per
-    row, and fills ``sweeps`` with the coefficients c_j of each sweep,
-    w_j = z_j + beta_{j-1} w_{j-1} - c_j @ directions[:j], from which
-    ``ritz.lanczos_from_trace`` recovers the projected preconditioned
-    residuals z_j; otherwise ``directions`` stays None and ``sweeps`` empty.
-    ``iterations`` is the number of alphas, m.  A run stopped by the
-    iteration cap has m betas and m sweeps, the last of each for a direction
-    that was never used.
+    be rebuilt from ``alphas``/``betas`` alone.  ``directions`` is the
+    (m, n) block of stored search directions, one per row; a swept solve
+    (TRKS, whose basis they become) fills ``sweeps`` with the coefficients
+    c_j of each sweep, w_j = z_j + beta_{j-1} w_{j-1} - c_j @ directions[:j]
+    (an unswept SRKS solve, see ``SolveConfig``, leaves it empty: c_j = 0).
+    ``iterations`` is the number of alphas, m; a run stopped by the cap has
+    m betas (and m sweeps), the last for a direction that was never used.
     """
 
     alphas: list = field(default_factory=list)
@@ -257,15 +257,9 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         raise NumericalFailure("(r, z) <= 0: preconditioner or operator not SPD")
     w = z.copy()
 
-    # stored direction block for full reorthogonalization (A-inner product),
-    # one direction per row so that storing one is a contiguous write; the
-    # block grows geometrically to avoid per-iteration reallocation
-    if cfg.reorthogonalize:
-        cap = 64
-        W = np.empty((cap, A.n))
-        AW = np.empty((cap, A.n))
-        wAw_diag = np.empty(cap)
-        stored = 0
+    # direction block, one per row (a contiguous write), grown geometrically
+    keep, swept = cfg.store != "none", cfg.store == "swept"
+    W, wAws = np.empty((64 if keep else 0, A.n)), []
 
     for _ in range(cfg.max_iters):
         Aw = A @ w
@@ -284,16 +278,11 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
             raise NumericalFailure("residual norm is not finite")
         trace.residual_norms.append(rnorm)
 
-        if cfg.reorthogonalize:
-            if stored == cap:
-                cap *= 2
+        if keep:
+            if len(wAws) == len(W):
                 W = np.concatenate([W, np.empty_like(W)])
-                AW = np.concatenate([AW, np.empty_like(AW)])
-                wAw_diag = np.concatenate([wAw_diag, np.empty_like(wAw_diag)])
-            W[stored] = w
-            AW[stored] = Aw
-            wAw_diag[stored] = wAw
-            stored += 1
+            W[len(wAws)] = w
+            wAws.append(wAw)
 
         if rnorm <= cfg.tol * r0_norm:
             trace.converged = True
@@ -306,15 +295,15 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         beta = rz_next / rz
         trace.betas.append(beta)
         w = z + beta * w
-        if cfg.reorthogonalize:
-            # one sweep against all stored directions in the A-inner product;
-            # its coefficients recover z_j from the directions (ritz.py)
-            c = (AW[:stored] @ w) / wAw_diag[:stored]
-            w -= c @ W[:stored]
+        if swept:
+            # A-orthogonal sweep against the stored directions, (A W) w formed
+            # as W (A w) with one SpMV; c recovers z_j (ritz.py)
+            c = (W[:len(wAws)] @ (A @ w)) / np.array(wAws)
+            w -= c @ W[:len(wAws)]
             trace.sweeps.append(c)
         rz = rz_next
 
-    if cfg.reorthogonalize:
-        trace.directions = W[:stored]
+    if keep:
+        trace.directions = W[:len(wAws)]
     trace.true_residual_norm = float(np.linalg.norm(b - A @ x))
     return x, trace

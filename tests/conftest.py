@@ -26,9 +26,9 @@ def random_spd_matrix(n, rng, condition=100.0):
 
 
 def residual_history(A, b, x0, trace):
-    """Residuals r_0 .. r_{m-1} of a reorthogonalized solve from ``x0``, as
-    columns, rebuilt with the solver's recurrence r_{j+1} = r_j - alpha_j A w_j
-    over the trace's search directions."""
+    """Residuals r_0 .. r_{m-1} of a solve from ``x0`` that stored its
+    directions, as columns, rebuilt with the solver's recurrence
+    r_{j+1} = r_j - alpha_j A w_j over the trace's search directions."""
     r = b - A @ x0
     R = []
     for alpha, w in zip(trace.alphas, trace.directions):
@@ -38,21 +38,21 @@ def residual_history(A, b, x0, trace):
 
 
 def preconditioned_residuals(A, b, M, D, trace):
-    """The exact z_j = P M^{-1} r_j of a reorthogonalized solve with
-    preconditioner ``M`` and deflation operator ``D``, as columns, computed
-    as the solver computes them from :func:`residual_history`."""
+    """The exact z_j = P M^{-1} r_j of a solve that stored its directions,
+    with preconditioner ``M`` and deflation operator ``D``, as columns,
+    computed as the solver computes them from :func:`residual_history`."""
     R = residual_history(A, b, D.initial_guess(b), trace)
     return np.column_stack([D.project(M.apply(r)) for r in np.ascontiguousarray(R.T)])
 
 
-def benchmark_solve():
-    """``(A, b, M, D, trace)`` of a plain Jacobi-preconditioned,
-    reorthogonalized solve at tol 1e-6 of the first system of the 16x16
+def benchmark_solve(store="swept"):
+    """``(A, b, M, D, trace)`` of a plain Jacobi-preconditioned solve with
+    direction store ``store`` at tol 1e-6 of the first system of the 16x16
     benchmark sequence."""
     (A, b), = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1)
     M = Preconditioner.jacobi(A)
     D = build_deflation(A, np.zeros((A.n, 0)))
-    _, trace = apcg_solve(A, M, D, b, SolveConfig(tol=1e-6, max_iters=500))
+    _, trace = apcg_solve(A, M, D, b, SolveConfig(tol=1e-6, max_iters=500, store=store))
     return A, b, M, D, trace
 
 

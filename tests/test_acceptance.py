@@ -57,7 +57,7 @@ def test_criterion_1_orthogonality(capsys):
         A = SparseSpdMatrix.from_dense(0.5 * (G + G.T), keep_zeros=True)
         b = rng.standard_normal(n)
         _, trace = plain_solve(A, b, tol=1e-6, max_iters=60,
-                               reorthogonalize=True)
+                               store="swept")
         m = trace.iterations
         if not trace.converged or m < 2:
             continue
@@ -122,7 +122,7 @@ def test_criterion_3_projected_equivalence(capsys):
 
         # projected-operator formulation
         _, trace = plain_solve(A, b, C=C, tol=1e-15, max_iters=steps,
-                               reorthogonalize=False)
+                               store="none")
         P = np.column_stack([D.project(col) for col in np.eye(n)])
         B = P.T @ A.to_dense() @ P
         B = 0.5 * (B + B.T)
@@ -149,7 +149,7 @@ def test_criterion_3_projected_equivalence(capsys):
         A_hat = SparseSpdMatrix.from_dense(A.to_dense() / np.outer(L, L),
                                            keep_zeros=True)
         D1 = build_deflation(A, C)
-        cfg = SolveConfig(tol=1e-15, max_iters=steps, reorthogonalize=False)
+        cfg = SolveConfig(tol=1e-15, max_iters=steps, store="none")
         _, t1 = apcg_solve(A, M, D1, b, cfg)
         D2 = build_deflation(A_hat, C * L[:, None])
         _, t2 = apcg_solve(A_hat, Preconditioner.identity(), D2, b / L, cfg)
@@ -169,7 +169,7 @@ def test_criterion_4_ritz_fidelity(capsys):
     rng = np.random.Generator(np.random.Philox(5))
     b = rng.standard_normal(n)
     _, trace = plain_solve(A, b, tol=1e-13, max_iters=n,
-                           reorthogonalize=True)
+                           store="swept")
     view = lanczos_from_trace(trace)
     cur = tridiag_eig(view.tridiag)
     prev_values = tridiag_eig(view.tridiag.truncated(view.m - 1)).values

@@ -145,7 +145,7 @@ def test_trks_appends_all_directions(rng):
 
 def test_trks_requires_stored_directions(rng):
     A = random_spd_matrix(8, rng)
-    _, trace = solve_once(A, rng.standard_normal(8), reorthogonalize=False)
+    _, trace = solve_once(A, rng.standard_normal(8), store="none")
     state = AugmentationState.from_initial(8)
     with pytest.raises(ContractViolation):
         update_basis_trks(state, trace)
@@ -217,9 +217,9 @@ def assert_same_selection(solve, strategy):
     return int(mask.sum())
 
 
-def reference_solve(A, b, M, C, **cfg_kwargs):
+def reference_solve(A, b, M, C, store, **cfg_kwargs):
     D = build_deflation(A, C)
-    _, trace = apcg_solve(A, M, D, b, SolveConfig(**cfg_kwargs))
+    _, trace = apcg_solve(A, M, D, b, SolveConfig(store=store, **cfg_kwargs))
     return A, b, M, D, trace
 
 
@@ -233,34 +233,43 @@ STRATEGIES = [RecycleStrategy("srks", epsilon=1e-2),
 STRATEGY_IDS = ["srks2", "srks4", "srks6", "srks10", "srks14", "cluster2", "cluster10"]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
-def test_selection_forms_only_kept_vectors(rng, strategy):
+def with_stores(cases, ids):
+    """Each case on a swept trace, under its id, and on an unswept (SRKS)
+    trace, under its id with ``-unswept`` appended."""
+    return [pytest.param(case, store, id=i if store == "swept" else f"{i}-unswept")
+            for store in ("swept", "directions") for case, i in zip(cases, ids)]
+
+
+@pytest.mark.parametrize("strategy, store", with_stores(STRATEGIES, STRATEGY_IDS))
+def test_selection_forms_only_kept_vectors(rng, strategy, store):
     kept = 0
     for n, condition in ((20, 1e2), (40, 1e3), (60, 1e4)):
         A = random_spd_matrix(n, rng, condition=condition)
         solve = reference_solve(A, rng.standard_normal(n), Preconditioner.identity(),
-                                np.zeros((n, 0)), tol=1e-10, max_iters=500)
+                                np.zeros((n, 0)), store, tol=1e-10, max_iters=500)
         kept += assert_same_selection(solve, strategy)
     assert kept > 0
 
 
-@pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
-def test_selection_forms_only_kept_vectors_on_benchmark_trace(kind):
-    assert assert_same_selection(benchmark_solve(),
+@pytest.mark.parametrize("kind, store", with_stores(["srks", "srks_cluster"],
+                                                   ["srks", "srks_cluster"]))
+def test_selection_forms_only_kept_vectors_on_benchmark_trace(kind, store):
+    assert assert_same_selection(benchmark_solve(store),
                                  RecycleStrategy(kind, epsilon=1e-14)) > 0
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
-def test_selection_forms_only_kept_vectors_on_trace_stopped_by_cap(rng, strategy):
-    # the last iteration still computed a beta and a sweep for a direction
+@pytest.mark.parametrize("strategy, store", with_stores(STRATEGIES, STRATEGY_IDS))
+def test_selection_forms_only_kept_vectors_on_trace_stopped_by_cap(rng, strategy, store):
+    # the last iteration still computed a beta (and a sweep) for a direction
     # that was never used; with n_c 5 the z_j are projected
     n = 60
     A = random_spd_matrix(n, rng, condition=1e4)
     solve = reference_solve(A, rng.standard_normal(n), Preconditioner.jacobi(A),
-                            rng.standard_normal((n, 5)), tol=1e-10, max_iters=25)
+                            rng.standard_normal((n, 5)), store, tol=1e-10, max_iters=25)
     trace = solve[-1]
     assert not trace.converged and trace.iterations == 25
-    assert len(trace.betas) == len(trace.sweeps) == 25
+    assert len(trace.betas) == 25
+    assert len(trace.sweeps) == (25 if store == "swept" else 0)
     assert assert_same_selection(solve, strategy) > 0
 
 
@@ -401,12 +410,14 @@ KINDS = ["none", "trks", "srks", "srks_cluster"]
 
 
 def solve_configs_seen(monkeypatch, rng, kind, cfg):
-    """The configs ``run_sequence`` hands to ``apcg_solve`` over two solves."""
+    """The configs ``run_sequence`` hands to ``apcg_solve`` over two solves,
+    each with the trace it returned."""
     seen = []
 
     def spy(A, M, D, b, run_cfg):
-        seen.append(run_cfg)
-        return apcg_solve(A, M, D, b, run_cfg)
+        x, trace = apcg_solve(A, M, D, b, run_cfg)
+        seen.append((run_cfg, trace))
+        return x, trace
 
     monkeypatch.setattr(recycle, "apcg_solve", spy)
     A = random_spd_matrix(15, rng, condition=10.0)
@@ -417,12 +428,16 @@ def solve_configs_seen(monkeypatch, rng, kind, cfg):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("switches", [{}, dict(reorthogonalize=False)])
+@pytest.mark.parametrize("switches", [{}, dict(store="none")])
 def test_solve_switches_follow_strategy(monkeypatch, rng, kind, switches):
     cfg = SolveConfig(tol=1e-4, max_iters=100, **switches)
-    for run_cfg in solve_configs_seen(monkeypatch, rng, kind, cfg):
-        assert run_cfg.reorthogonalize is (kind != "none")
+    stores = {"none": "none", "trks": "swept", "srks": "directions",
+              "srks_cluster": "directions"}
+    for run_cfg, trace in solve_configs_seen(monkeypatch, rng, kind, cfg):
+        assert run_cfg.store == stores[kind]
         assert (run_cfg.tol, run_cfg.max_iters) == (cfg.tol, cfg.max_iters)
+        if kind.startswith("srks"):
+            assert trace.sweeps == [] and trace.directions is not None
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -496,7 +511,8 @@ HISTORY_SCRIPT = """
 import json
 from recycg import (Preconditioner, RecycleStrategy, SolveConfig, benchmark_spec,
                     generate_diffusion_sequence, run_sequence)
-runs = [("none", 1e-14, 1e-3), ("trks", 1e-14, 1e-6), ("srks", 1e-6, 1e-3)]
+runs = [("none", 1e-14, 1e-3), ("trks", 1e-14, 1e-6), ("srks", 1e-6, 1e-3),
+        ("srks_cluster", 1e-2, 1e-3)]
 histories = {}
 for kind, epsilon, tol in runs:
     systems = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(32, 32)), 12)
@@ -518,7 +534,7 @@ def sequence_histories(blas_threads):
 
 def test_histories_do_not_depend_on_blas_thread_count():
     one, two = sequence_histories(1), sequence_histories(2)
-    assert set(one) == {"none", "trks", "srks"}
+    assert set(one) == {"none", "trks", "srks", "srks_cluster"}
     assert one["trks"][1][-1] > 0 and one["srks"][1][-1] > 0
     assert one == two
 

@@ -273,7 +273,7 @@ def test_orthogonality_across_reorthogonalization_block_growth():
     G = random_spd(n, rng, condition=1e4)
     A = SparseSpdMatrix.from_dense(G, keep_zeros=True)
     b = rng.standard_normal(n)
-    _, trace = solve(A, b, tol=1e-3, max_iters=n, reorthogonalize=True)
+    _, trace = solve(A, b, tol=1e-3, max_iters=n, store="swept")
     m = trace.iterations
     assert trace.converged and m > 128
 
@@ -300,6 +300,8 @@ def test_solve_config_validation():
         SolveConfig(tol=2.0)
     with pytest.raises(ContractViolation):
         SolveConfig(max_iters=0)
+    with pytest.raises(ContractViolation, match="unknown direction store"):
+        SolveConfig(store="sweep")
 
 
 def test_trace_json_round_trip(rng):
@@ -345,7 +347,7 @@ def test_matches_cg_on_projected_operator(rng):
         # fixed iteration window: comparing converged runs would make the
         # last term depend on which side crosses the threshold first
         _, trace = solve(A, b, C=C, tol=1e-15, max_iters=steps,
-                         reorthogonalize=False)
+                         store="none")
 
         P = np.column_stack([D.project(col) for col in np.eye(n)])
         B = P.T @ A.to_dense() @ P
@@ -370,9 +372,9 @@ def test_split_preconditioner_equivalence(rng):
                                        keep_zeros=True)
     steps = 12  # fixed window; late iterations of a full run are noise-driven
     _, t1 = solve(A, b, C=C, M=M, tol=1e-15, max_iters=steps,
-                  reorthogonalize=False)
+                  store="none")
     _, t2 = solve(A_hat, b / L, C=C * L[:, None], tol=1e-15, max_iters=steps,
-                  reorthogonalize=False)
+                  store="none")
     assert t1.iterations == t2.iterations == steps
     np.testing.assert_allclose(t1.alphas, t2.alphas, rtol=1e-9)
     np.testing.assert_allclose(t1.betas, t2.betas, rtol=1e-9)
