@@ -358,23 +358,29 @@ def _write_outputs(results, out_dir):
                              for k, v in points)
             (out_dir / f"{curve}_{tag}.dat").write_text(text + "\n")
 
-    srks_runs = [r for r in results
-                 if r.strategy.kind in (recycle.SRKS, recycle.SRKS_CLUSTER)
-                 and r.report.final_basis is not None
-                 and r.report.final_basis.shape[1] > 0]
-    if len(srks_runs) >= 2:
-        sv = subspace_overlap(srks_runs[0].report.final_basis,
-                              srks_runs[1].report.final_basis)
+    bases = [res.report.final_basis for res in results if res.report.final_basis is not None]
+    if len(bases) == 2:
+        sv = subspace_overlap(*bases)
         text = "\n".join(f"{i} {v:.17g}" for i, v in enumerate(sv))
         (out_dir / "overlap_singular_values.dat").write_text(text + "\n")
     return summary
 
 
 def cli_run(config_path, out=None):
-    """Run the full experiment grid; returns a process exit status."""
+    """Run the full experiment grid; returns a process exit status.  Only the
+    first two SRKS-kind runs with a nonempty final basis keep it, for the
+    overlap diagnostic; every other run drops its basis as it finishes."""
     config = ExperimentConfig.from_file(config_path)
     out_dir = Path(out) if out else config.output_dir
-    results = [_run_one(config, *run) for run in config.runs()]
+    results, kept = [], 0
+    for run in config.runs():
+        results.append(result := _run_one(config, *run))
+        basis = result.report.final_basis
+        if (kept < 2 and result.strategy.kind in (recycle.SRKS, recycle.SRKS_CLUSTER)
+                and basis is not None and basis.shape[1] > 0):
+            kept += 1
+        else:
+            result.report.final_basis = None
     summary = _write_outputs(results, out_dir)
     return 0 if all(entry["all_converged"] for entry in summary.values()) else 1
 

@@ -11,6 +11,7 @@ convergence-theory checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -74,17 +75,13 @@ class InclusionGridSpec:
 
 def regular_inclusion_layout(grid, per_axis, fill=0.5):
     """A regular ``per_axis x per_axis (x per_axis)`` arrangement of blocks."""
-    blocks = []
     spans = []
     for g in grid:
         cell = g / per_axis
         width = max(1, int(round(cell * fill)))
         spans.append([(int(round(i * cell + (cell - width) / 2)),) for i in range(per_axis)])
         spans[-1] = [(s[0], min(g, s[0] + width)) for s in spans[-1]]
-    from itertools import product
-    for combo in product(*spans):
-        blocks.append(tuple(combo))
-    return tuple(blocks)
+    return tuple(product(*spans))
 
 
 def benchmark_spec(seed=0, grid=(64, 64), per_axis=4, contrast_range=(1.0, 3.0)):
@@ -113,78 +110,72 @@ def _material_map(spec: InclusionGridSpec):
     return materials
 
 
-def _assemble_diffusion(cell_coeff):
-    """Finite-difference diffusion operator with harmonic face coefficients.
+def _diffusion_pattern(grid):
+    """``(faces, row_offsets, col_indices, order)`` of every system on ``grid``.
 
-    Dirichlet boundaries; a boundary face uses the cell's own coefficient.
-    Axes of size 1 carry no coupling and no boundary flux.
+    ``faces`` holds, per axis of size >= 2, the index tuples of the lower and
+    upper cells of its interior faces and of its first and last boundary
+    planes.  ``order`` puts the entries of ``_diffusion_values`` in the CSR
+    order of the int32 ``row_offsets`` and ``col_indices``, which all the
+    matrices of a sequence share read-only.
     """
-    grid = cell_coeff.shape
-    n = cell_coeff.size
-    flat = cell_coeff.ravel()
-    index = np.arange(n).reshape(grid)
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for axis, g in enumerate(grid):
-        if g < 2:
-            continue
-        lo = [slice(None)] * len(grid)
-        hi = [slice(None)] * len(grid)
-        lo[axis] = slice(0, g - 1)
-        hi[axis] = slice(1, g)
-        c_lo = cell_coeff[tuple(lo)].ravel()
-        c_hi = cell_coeff[tuple(hi)].ravel()
-        face = 2.0 * c_lo * c_hi / (c_lo + c_hi)
-        i_lo = index[tuple(lo)].ravel()
-        i_hi = index[tuple(hi)].ravel()
-        rows.extend([i_lo, i_hi])
-        cols.extend([i_hi, i_lo])
-        vals.extend([-face, -face])
-        np.add.at(diag, i_lo, face)
-        np.add.at(diag, i_hi, face)
-        # Dirichlet boundary faces at both ends of the axis
-        for end in (0, g - 1):
-            sel = [slice(None)] * len(grid)
-            sel[axis] = end
-            cells = index[tuple(sel)].ravel()
-            np.add.at(diag, cells, flat[cells])
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    coo = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return SparseSpdMatrix.from_scipy(coo)
-
-
-def _load_vector(grid):
-    """Fixed deterministic load: unit source at the center, boundary flux."""
     n = int(np.prod(grid))
+    index = np.arange(n).reshape(grid)
+    faces = [tuple(tuple(slice(start, stop) if a == axis else slice(None) for a in range(len(grid)))
+                   for start, stop in ((0, g - 1), (1, g), (0, 1), (g - 1, g)))
+             for axis, g in enumerate(grid) if g >= 2]
+    lower = [index[lo].ravel() for lo, *_ in faces]
+    upper = [index[hi].ravel() for _, hi, *_ in faces]
+    rows = np.concatenate(lower + upper + [index.ravel()])
+    cols = np.concatenate(upper + lower + [index.ravel()])
+    order = np.lexsort((cols, rows))
+    row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).astype(np.int32)
+    col_indices = cols[order].astype(np.int32)
+    row_offsets.flags.writeable = col_indices.flags.writeable = False
+    return faces, row_offsets, col_indices, order
+
+
+def _diffusion_values(cell_coeff, faces):
+    """Finite-difference diffusion entries with harmonic face coefficients
+    and Dirichlet boundaries, where a boundary face uses the cell's own
+    coefficient: the lower-to-upper couplings of every axis, the
+    upper-to-lower ones, then the diagonal."""
+    diag = np.zeros(cell_coeff.shape)
+    couplings = []
+    for lo, hi, first, last in faces:
+        face = 2.0 * cell_coeff[lo] * cell_coeff[hi] / (cell_coeff[lo] + cell_coeff[hi])
+        diag[lo] += face
+        diag[hi] += face
+        diag[first] += cell_coeff[first]  # Dirichlet boundary faces
+        diag[last] += cell_coeff[last]
+        couplings.append(-face.ravel())
+    return np.concatenate(couplings * 2 + [diag.ravel()])
+
+
+def _load_vector(grid, faces):
+    """Fixed deterministic load: unit source at the center, boundary flux."""
     b = np.zeros(grid)
-    center = tuple(g // 2 for g in grid)
-    for axis, g in enumerate(grid):
-        if g < 2:
-            continue
-        for end in (0, g - 1):
-            sel = [slice(None)] * len(grid)
-            sel[axis] = end
-            b[tuple(sel)] += 0.01
-    b[center] += 1.0
-    return b.reshape(n)
+    for *_, first, last in faces:
+        b[first] += 0.01
+        b[last] += 0.01
+    b[tuple(g // 2 for g in grid)] += 1.0
+    return b.ravel()
 
 
 def generate_diffusion_sequence(spec: InclusionGridSpec, count):
-    """Yield ``count`` (matrix, rhs) pairs with redrawn material coefficients."""
+    """Yield ``count`` (matrix, rhs) pairs with redrawn material coefficients;
+    the CSR pattern is built once and each system fills only its values."""
     if count < 1:
         raise ContractViolation("count must be >= 1")
     materials = _material_map(spec)
     means = (spec.matrix_coeff_mean, *spec.inclusion_coeff_mean)
-    b = _load_vector(spec.grid)
+    faces, row_offsets, col_indices, order = _diffusion_pattern(spec.grid)
+    b = _load_vector(spec.grid, faces)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     for _ in range(count):
         coeffs = np.array([_draw_coefficient(rng, m, spec.rel_std) for m in means])
-        cell_coeff = coeffs[materials]
-        yield _assemble_diffusion(cell_coeff), b.copy()
+        values = _diffusion_values(coeffs[materials], faces)[order]
+        yield SparseSpdMatrix(spec.n, row_offsets, col_indices, values), b.copy()
 
 
 @dataclass(frozen=True)

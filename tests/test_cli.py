@@ -165,6 +165,24 @@ def test_run_overlap_diagnostic_for_srks_pair(tmp_path):
     assert all(-1e-9 <= v <= np.sqrt(2.0) + 1e-9 for v in values)
 
 
+def test_run_drops_the_bases_no_output_reads(tmp_path, monkeypatch):
+    import recycg.cli
+    held = {}
+    write_outputs = recycg.cli._write_outputs
+
+    def record(results, out_dir):
+        held.update((res.name, res.report.final_basis is not None) for res in results)
+        return write_outputs(results, out_dir)
+
+    monkeypatch.setattr(recycg.cli, "_write_outputs", record)
+    out = tmp_path / "out"
+    cli_run(write_config(tmp_path, SMALL_CONFIG.replace("[none, trks]", "[trks, srks6, srks14]")),
+            out=out)
+    # the overlap diagnostic reads the bases of the first two SRKS-kind runs
+    assert held == {"trks": False, "srks6": True, "srks14": True}
+    assert (out / "overlap_singular_values.dat").exists()
+
+
 # ---------------------------------------------------------------------------
 # cli_inspect
 

@@ -1,4 +1,7 @@
 """Problem-generator and Matrix Market I/O tests."""
+import hashlib
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from recycg import (ContractViolation, InclusionGridSpec, SparseSpdMatrix,
                     SpectrumSpec, dense_sym_eig, generate_diffusion_sequence,
                     generate_prescribed_spectrum, read_matrix_market,
                     write_matrix_market)
+from recycg import problems
 from recycg.problems import (MatrixMarketError, benchmark_spec,
                              regular_inclusion_layout)
 
@@ -145,6 +149,94 @@ def test_3d_grid_assembly():
     # interior cell touches 6 faces of unit coefficient
     center = A.to_dense()[13, 13]
     assert center == pytest.approx(6.0)
+
+
+# sha256 of row_offsets, col_indices, values and b of each of the 40 systems
+# of benchmark_spec(seed=0), in that order; every seed-0 history, the pilot
+# fixture and the perfbench references are taken on these bytes
+BENCHMARK_DIGEST = "4a58c2de3ef060a9e3e7459f124eeccc48951ae0ce68a9fea64401d57672e383"
+
+
+def test_benchmark_inputs_are_pinned():
+    digest = hashlib.sha256()
+    for A, b in generate_diffusion_sequence(benchmark_spec(seed=0), 40):
+        assert A.row_offsets.dtype == A.col_indices.dtype == np.int32
+        for array in (A.row_offsets, A.col_indices, A.values, b):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == BENCHMARK_DIGEST
+
+
+def reference_system(spec, rng):
+    """The next (A, b) of ``spec``'s sequence as dense arrays, assembled cell
+    by cell: for each axis in turn, a cell's diagonal adds its upper face,
+    its lower face, then its first-plane and last-plane boundary terms; a
+    face coefficient is the harmonic mean 2 c_lo c_hi / (c_lo + c_hi) and a
+    boundary face takes the cell's own coefficient."""
+    means = (spec.matrix_coeff_mean, *spec.inclusion_coeff_mean)
+    coeffs = []
+    for mean in means:
+        while (value := mean * (1.0 + spec.rel_std * rng.standard_normal())) <= 1e-6 * mean:
+            pass
+        coeffs.append(value)
+    cell = np.full(spec.grid, coeffs[0])
+    for i, block in enumerate(spec.inclusion_layout, start=1):
+        cell[tuple(slice(lo, hi) for lo, hi in block)] = coeffs[i]
+    n = spec.n
+    A = np.zeros((n, n))
+    b = np.zeros(n)
+    for idx in product(*(range(g) for g in spec.grid)):
+        i = np.ravel_multi_index(idx, spec.grid)
+        diag = 0.0
+        for axis, g in enumerate(spec.grid):
+            if g < 2:
+                continue
+            for step in (1, -1):
+                other = list(idx)
+                other[axis] += step
+                if not 0 <= other[axis] < g:
+                    continue
+                lo, hi = (idx, tuple(other)) if step == 1 else (tuple(other), idx)
+                face = 2.0 * cell[lo] * cell[hi] / (cell[lo] + cell[hi])
+                A[i, np.ravel_multi_index(other, spec.grid)] = -face
+                diag += face
+            for end in (0, g - 1):
+                if idx[axis] == end:
+                    diag += cell[idx]
+                    b[i] += 0.01
+        A[i, i] = diag
+    b[np.ravel_multi_index(tuple(g // 2 for g in spec.grid), spec.grid)] += 1.0
+    return A, b
+
+
+@pytest.mark.parametrize("grid, block", [
+    ((9,), ((2, 5),)),
+    ((1, 6), ((0, 1), (1, 3))),
+    ((7, 1, 5), ((1, 4), (0, 1), (2, 5))),
+    ((5, 6, 7), ((1, 3), (2, 5), (3, 6))),
+], ids=["9", "1x6", "7x1x5", "5x6x7"])
+def test_assembly_matches_cell_by_cell_reference(grid, block):
+    spec = InclusionGridSpec(grid=grid, inclusion_layout=(block,),
+                             inclusion_coeff_mean=37.0, rel_std=0.3, seed=5)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    for A, b in generate_diffusion_sequence(spec, 3):
+        A_ref, b_ref = reference_system(spec, rng)
+        assert np.array_equal(A.to_dense(), A_ref)
+        assert A.nnz == np.count_nonzero(A_ref)
+        assert np.array_equal(b, b_ref)
+
+
+def test_pattern_built_once_per_sequence(monkeypatch):
+    calls = []
+    pattern = problems._diffusion_pattern
+
+    def counted(grid):
+        calls.append(grid)
+        return pattern(grid)
+
+    monkeypatch.setattr(problems, "_diffusion_pattern", counted)
+    systems = list(generate_diffusion_sequence(benchmark_spec(seed=0, grid=(8, 8)), 5))
+    assert len(systems) == 5
+    assert calls == [(8, 8)]
 
 
 def test_count_validation():
