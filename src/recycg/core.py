@@ -3,17 +3,29 @@ Shared dense and sparse linear-algebra kernels.
 
 Everything else in the package is built on the few primitives defined here:
 a CSR container for symmetric positive definite operators (applied with
-``A @ x``), a LAPACK dense Cholesky with explicit rank reporting, and
-symmetric eigensolvers (tridiagonal and full) that return sorted, orthonormal
-decompositions.
+``A @ x``, to a vector in diagonal form when the matrix is banded), a LAPACK
+dense Cholesky with explicit rank reporting, and symmetric eigensolvers
+(tridiagonal and full) that return sorted, orthonormal decompositions.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+
+# A matrix whose distinct diagonals hold at most this many slots per stored
+# entry is applied to vectors in scipy's DIA (diagonal) form.  At n 4096 (one
+# OpenBLAS thread, 2-core Xeon VM) a DIA SpMV took 14 us against 21 us in CSR
+# on the 5-point stencil (1.01 slots per entry), broke even near 1.8 slots per
+# entry and was slower beyond; 1.5 keeps a margin below the break-even.
+DIA_MAX_FILL = 1.5
+
+# (weak reference to the matrix applied to a vector last, its DIA operator or
+# None for CSR): one matrix's diagonals at a time, freed with the matrix
+_dia_slot = (None, None)
 
 
 class ContractViolation(ValueError):
@@ -113,7 +125,54 @@ class SparseSpdMatrix:
         return len(self.values)
 
     def __matmul__(self, other):
-        return self._csr @ np.asarray(other, dtype=np.float64)
+        """``A @ x`` for a vector or a block of columns.
+
+        A vector meets a banded matrix in DIA form, which gives the CSR
+        product bit for bit when the vector is finite: both kernels start
+        each row from zero and add its terms in ascending column order, and
+        DIA's padding adds 0 * x_j, an exact zero.  Blocks, and matrices with
+        more padding, stay in CSR.
+        """
+        other = np.asarray(other, dtype=np.float64)
+        if other.ndim == 1:
+            dia = _dia_operator(self)
+            if dia is not None:
+                return dia @ other
+        return self._csr @ other
+
+
+def _dia_operator(A):
+    """A's DIA operator (None: CSR), built at A's first SpMV after another
+    matrix's, so the constructor does not pay for it."""
+    global _dia_slot
+    ref, dia = _dia_slot
+    if ref is None or ref() is not A:
+        dia = _banded(A)
+        _dia_slot = (weakref.ref(A, _release_dia), dia)
+    return dia
+
+
+def _release_dia(ref):
+    global _dia_slot
+    if _dia_slot[0] is ref:
+        _dia_slot = (None, None)
+
+
+def _banded(A):
+    """A in DIA form, or None when its diagonals hold more than
+    ``DIA_MAX_FILL`` slots per stored entry."""
+    n = A.n
+    rows = np.repeat(np.arange(n, dtype=A.col_indices.dtype), np.diff(A.row_offsets))
+    shifted = A.col_indices - rows + n  # offset j - i of each entry, plus n
+    present = np.bincount(shifted, minlength=2 * n + 1) > 0
+    kept = np.flatnonzero(present) - n
+    if len(kept) * n > DIA_MAX_FILL * A.nnz:
+        return None
+    # scipy's DIA layout: data[d, j] holds A[j - kept[d], j]; the running
+    # count of present offsets numbers each entry's diagonal
+    data = np.zeros(len(kept) * n)
+    data[(np.cumsum(present) - 1)[shifted] * n + A.col_indices] = A.values
+    return scipy.sparse.dia_matrix((data.reshape(len(kept), n), kept), shape=(n, n))
 
 
 @dataclass(frozen=True)

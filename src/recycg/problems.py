@@ -243,7 +243,10 @@ def read_matrix_market(path):
             raise MatrixMarketError(path, 1, "array format supported for vectors only")
         if len(size_fields) != 2:
             raise MatrixMarketError(path, size_line_no, "array size line needs 2 fields")
-        nrow, ncol = int(size_fields[0]), int(size_fields[1])
+        try:
+            nrow, ncol = int(size_fields[0]), int(size_fields[1])
+        except ValueError:
+            raise MatrixMarketError(path, size_line_no, "invalid array size line") from None
         if ncol != 1:
             raise MatrixMarketError(path, size_line_no, "only single-column vectors supported")
         entries = []
@@ -264,7 +267,10 @@ def read_matrix_market(path):
         raise MatrixMarketError(path, 1, f"matrix kind must be symmetric, got {kind!r}")
     if len(size_fields) != 3:
         raise MatrixMarketError(path, size_line_no, "coordinate size line needs 3 fields")
-    nrow, ncol, nnz = (int(v) for v in size_fields)
+    try:
+        nrow, ncol, nnz = (int(v) for v in size_fields)
+    except ValueError:
+        raise MatrixMarketError(path, size_line_no, "invalid coordinate size line") from None
     if nrow != ncol:
         raise MatrixMarketError(path, size_line_no, "matrix must be square")
     rows, cols, vals = [], [], []

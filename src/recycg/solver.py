@@ -101,14 +101,13 @@ class DeflationOperator:
 
     def project(self, x):
         """P x using one SpMV, one block dot product, one coarse solve and
-        one combination."""
+        one combination; on an empty basis, ``x`` itself."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ContractViolation("vector length mismatch in project")
-        # plain PCG projects once per iteration; on an empty basis the general
-        # path costs tens of times more than this copy
+        # plain PCG projects once per iteration, and P is the identity here
         if self.n_c == 0:
-            return x.copy()
+            return x
         return x - self.basis @ self.coarse_solve(self.basis.T @ (self.A @ x))
 
     def initial_guess(self, b):
@@ -257,9 +256,13 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         raise NumericalFailure("(r, z) <= 0: preconditioner or operator not SPD")
     w = z.copy()
 
-    # direction block, one per row (a contiguous write), grown geometrically
+    # direction block, one per row (a contiguous write), and the A-norms of
+    # the directions, both grown geometrically; m counts the stored rows
     keep, swept = cfg.store != "none", cfg.store == "swept"
-    W, wAws = np.empty((64 if keep else 0, A.n)), []
+    W, wAws, m = np.empty((64 if keep else 0, A.n)), np.empty(64 if keep else 0), 0
+    # the updates below run in place with the operand order of x + alpha w,
+    # r - alpha A w and z + beta w, so every bit is that of the allocating form
+    step = np.empty(A.n)
 
     for _ in range(cfg.max_iters):
         Aw = A @ w
@@ -271,18 +274,21 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         trace.alphas.append(alpha)
         trace.rz_inner.append(rz)
 
-        x = x + alpha * w
-        r = r - alpha * Aw
+        np.multiply(w, alpha, out=step)
+        x += step
+        Aw *= alpha
+        r -= Aw
         rnorm = float(np.linalg.norm(r))
         if not math.isfinite(rnorm):
             raise NumericalFailure("residual norm is not finite")
         trace.residual_norms.append(rnorm)
 
         if keep:
-            if len(wAws) == len(W):
+            if m == len(W):
                 W = np.concatenate([W, np.empty_like(W)])
-            W[len(wAws)] = w
-            wAws.append(wAw)
+                wAws = np.concatenate([wAws, np.empty_like(wAws)])
+            W[m], wAws[m] = w, wAw
+            m += 1
 
         if rnorm <= cfg.tol * r0_norm:
             trace.converged = True
@@ -294,16 +300,17 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
             raise NumericalFailure("(r, z) <= 0: preconditioner or operator not SPD")
         beta = rz_next / rz
         trace.betas.append(beta)
-        w = z + beta * w
+        w *= beta
+        w += z
         if swept:
             # A-orthogonal sweep against the stored directions, (A W) w formed
             # as W (A w) with one SpMV; c recovers z_j (ritz.py)
-            c = (W[:len(wAws)] @ (A @ w)) / np.array(wAws)
-            w -= c @ W[:len(wAws)]
+            c = (W[:m] @ (A @ w)) / wAws[:m]
+            w -= c @ W[:m]
             trace.sweeps.append(c)
         rz = rz_next
 
     if keep:
-        trace.directions = W[:len(wAws)]
+        trace.directions = W[:m]
     trace.true_residual_norm = float(np.linalg.norm(b - A @ x))
     return x, trace

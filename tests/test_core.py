@@ -1,10 +1,16 @@
 """Dense/sparse kernel tests: CSR container, Cholesky, eigensolvers."""
+import tracemalloc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from recycg import (ContractViolation, EigDecomposition, RankDeficient,
-                    SparseSpdMatrix, TridiagSym, dense_cholesky,
-                    dense_sym_eig, tridiag_eig)
+from recycg import (ContractViolation, EigDecomposition, InclusionGridSpec,
+                    RankDeficient, SparseSpdMatrix, TridiagSym, benchmark_spec,
+                    core, dense_cholesky, dense_sym_eig,
+                    generate_diffusion_sequence, tridiag_eig)
 from conftest import random_spd
 
 
@@ -117,6 +123,63 @@ def test_spmv_symmetry_bilinear(rng):
     A = SparseSpdMatrix.from_dense(random_spd(20, rng), keep_zeros=True)
     x, y = rng.standard_normal(20), rng.standard_normal(20)
     assert (A @ x) @ y == pytest.approx((A @ y) @ x, rel=1e-12)
+
+
+def csr_product(A, x):
+    """``A @ x`` through scipy's CSR kernel on A's own arrays."""
+    return scipy.sparse.csr_matrix((A.values, A.col_indices, A.row_offsets),
+                                   shape=(A.n, A.n)) @ x
+
+
+@pytest.mark.parametrize("grid", [(50,), (16, 12), (6, 5, 7)], ids=["50", "16x12", "6x5x7"])
+def test_banded_spmv_bit_identical_to_csr(grid, rng):
+    spec = InclusionGridSpec(grid=grid, inclusion_layout=(tuple((1, 3) for _ in grid),),
+                             rel_std=0.3, seed=3)
+    for A, _ in generate_diffusion_sequence(spec, 2):
+        assert isinstance(core._dia_operator(A), scipy.sparse.dia_matrix)
+        for x in (rng.standard_normal(A.n), rng.standard_normal(A.n) * 1e-300):
+            assert np.array_equal(A @ x, csr_product(A, x))
+
+
+def test_unbanded_matrix_keeps_csr_without_warning(rng):
+    n = 60
+    S = scipy.sparse.random(n, n, density=0.05, random_state=7, format="csr")
+    A = SparseSpdMatrix.from_scipy(S + S.T + scipy.sparse.identity(n) * n)
+    x = rng.standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = A @ x
+        assert core._dia_operator(A) is None
+    assert np.array_equal(y, csr_product(A, x))
+
+
+def test_block_operand_keeps_csr_product(rng):
+    A, _ = next(generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1))
+    X = rng.standard_normal((A.n, 5))
+    A @ X[:, 0]  # the diagonals of A are built
+    assert np.array_equal(A @ X, csr_product(A, X))
+    assert np.array_equal(A @ np.asfortranarray(X), csr_product(A, X))
+
+
+def test_banded_kernel_holds_one_matrix_diagonals():
+    systems = [A for A, _ in generate_diffusion_sequence(
+        benchmark_spec(seed=0, grid=(32, 32)), 40)]
+    x = np.ones(systems[0].n)
+    diagonals = 5 * x.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = []
+        for A in systems:
+            A @ x
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(held) < 2 * diagonals  # one matrix's 5 diagonals of n at most
+    ref = weakref.ref(A)
+    del systems[:], A
+    assert ref() is None
+    assert core._dia_slot == (None, None)
 
 
 # ---------------------------------------------------------------------------

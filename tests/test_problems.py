@@ -357,3 +357,22 @@ def test_rejects_multicolumn_array(tmp_path):
                     "2 2\n1.0\n2.0\n3.0\n4.0\n")
     with pytest.raises(MatrixMarketError):
         read_matrix_market(path)
+
+
+def test_rejects_non_integer_coordinate_size_line(tmp_path):
+    path = tmp_path / "size.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "% a comment line\n"
+                    "2 two 2\n1 1 1.0\n2 2 1.0\n")
+    with pytest.raises(MatrixMarketError, match=r"size\.mtx:3: ") as exc_info:
+        read_matrix_market(path)
+    assert exc_info.value.line_no == 3
+
+
+def test_rejects_non_integer_array_size_line(tmp_path):
+    path = tmp_path / "size.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n"
+                    "2 x\n1.0\n2.0\n")
+    with pytest.raises(MatrixMarketError, match=r"size\.mtx:2: ") as exc_info:
+        read_matrix_market(path)
+    assert exc_info.value.line_no == 2

@@ -9,7 +9,8 @@ import scipy.sparse
 
 from recycg import (ContractViolation, NumericalFailure, Preconditioner,
                     SolveConfig, SolveTrace, SparseSpdMatrix, apcg_solve,
-                    build_deflation, dense_sym_eig)
+                    benchmark_spec, build_deflation, dense_sym_eig,
+                    generate_diffusion_sequence)
 from conftest import (preconditioned_residuals, random_spd, random_spd_matrix,
                       residual_history)
 
@@ -39,6 +40,53 @@ def reference_cg(A, b, tol=1e-10, max_iters=500):
         p = r + (rr_next / rr) * p
         rr = rr_next
     return x, norms
+
+
+def allocating_apcg(A, M, D, b, cfg):
+    """The APCG loop with every update allocating a new vector, x + alpha w,
+    r - alpha A w and z + beta w, and the sweep's A-norms rebuilt as an array
+    at each sweep; the in-place loop of ``apcg_solve`` must give its bits."""
+    trace = SolveTrace()
+    x = D.initial_guess(b)
+    r = b - A @ x
+    r0_norm = float(np.linalg.norm(r))
+    trace.residual_norms.append(r0_norm)
+    z = D.project(M.apply(r)).copy()
+    rz = float(r @ z)
+    w = z.copy()
+    keep, swept = cfg.store != "none", cfg.store == "swept"
+    W, wAws = np.empty((64 if keep else 0, A.n)), []
+    for _ in range(cfg.max_iters):
+        Aw = A @ w
+        wAw = float(w @ Aw)
+        alpha = rz / wAw
+        trace.alphas.append(alpha)
+        trace.rz_inner.append(rz)
+        x = x + alpha * w
+        r = r - alpha * Aw
+        rnorm = float(np.linalg.norm(r))
+        trace.residual_norms.append(rnorm)
+        if keep:
+            if len(wAws) == len(W):
+                W = np.concatenate([W, np.empty_like(W)])
+            W[len(wAws)] = w
+            wAws.append(wAw)
+        if rnorm <= cfg.tol * r0_norm:
+            trace.converged = True
+            break
+        z = D.project(M.apply(r)).copy()
+        rz_next = float(r @ z)
+        beta = rz_next / rz
+        trace.betas.append(beta)
+        w = z + beta * w
+        if swept:
+            c = (W[:len(wAws)] @ (A @ w)) / np.array(wAws)
+            w -= c @ W[:len(wAws)]
+            trace.sweeps.append(c)
+        rz = rz_next
+    if keep:
+        trace.directions = W[:len(wAws)]
+    return x, trace
 
 
 def solve(A, b, C=None, M=None, **cfg_kwargs):
@@ -291,6 +339,28 @@ def test_orthogonality_across_reorthogonalization_block_growth():
     waw = np.abs(gram) / np.outer(a_norms, a_norms)
     np.fill_diagonal(waw, 0.0)
     assert waw.max() <= 1e-8
+
+
+@pytest.mark.parametrize("store", ["none", "directions", "swept"])
+@pytest.mark.parametrize("n_c", [0, 6])
+@pytest.mark.parametrize("precond", ["identity", "jacobi"])
+def test_in_place_loop_bit_identical_to_allocating_loop(store, n_c, precond):
+    # every case takes more than 64 iterations, so the direction block grows
+    (A, b), = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1)
+    M = Preconditioner.identity() if precond == "identity" else Preconditioner.jacobi(A)
+    C = np.random.Generator(np.random.Philox(9)).standard_normal((A.n, n_c))
+    D = build_deflation(A, C)
+    cfg = SolveConfig(tol=1e-6, max_iters=400, store=store)
+    x_ref, ref = allocating_apcg(A, M, D, b, cfg)
+    x, trace = apcg_solve(A, M, D, b, cfg)
+    assert trace.converged and 64 < trace.iterations < cfg.max_iters
+    assert np.array_equal(x, x_ref)
+    for name in ("alphas", "betas", "rz_inner", "residual_norms"):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+    assert len(trace.sweeps) == len(ref.sweeps) == (trace.iterations - 1) * (store == "swept")
+    assert all(np.array_equal(c, c_ref) for c, c_ref in zip(trace.sweeps, ref.sweeps))
+    if store != "none":
+        assert np.array_equal(trace.directions, ref.directions)
 
 
 def test_solve_config_validation():
