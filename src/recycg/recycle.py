@@ -46,7 +46,7 @@ class RecycleStrategy:
 
 class AugmentationState:
     """Current augmentation basis with per-column provenance; a run starts
-    from ``from_initial(n)``, the empty basis.
+    from ``AugmentationState(n)``, the empty basis.
 
     The columns live in one column-major block with spare columns that grows
     geometrically, so an append copies the existing columns only when the
@@ -59,10 +59,6 @@ class AugmentationState:
         self._block = np.empty((n, 0), order="F")
         self.n_c = 0
         self.origin_tags = []
-
-    @classmethod
-    def from_initial(cls, n):
-        return cls(n)
 
     @property
     def basis(self):
@@ -201,7 +197,7 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
     state = None
     for k, (A, b) in enumerate(systems):
         if state is None:
-            state = AugmentationState.from_initial(A.n)
+            state = AugmentationState(A.n)
         n_c_before = state.n_c
 
         t0 = perf_counter()

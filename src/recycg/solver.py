@@ -16,6 +16,9 @@ orthogonality only by repeating converged Ritz values (see SolveConfig).
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,12 @@ RANK_GUARD_RTOL = 1e-12
 # fastest of 32-256 at n 4096 (n_c 300 and 1589, one OpenBLAS thread on a
 # 2-core Xeon VM), and it bounds the build's temporaries to a few n x 64 blocks
 COARSE_CHUNK = 64
+# threads that form the chunk products C[:, j:]^T (A C_chunk) of the coarse
+# build, and the number of those products in flight: numpy releases the GIL
+# inside BLAS, so two single-threaded GEMMs run at once on two cores.  The
+# pool starts no thread until the first build.
+COARSE_WORKERS = min(2, len(os.sched_getaffinity(0)))
+_coarse_pool = ThreadPoolExecutor(COARSE_WORKERS, thread_name_prefix="recycg-coarse")
 
 
 @dataclass(frozen=True)
@@ -120,19 +129,34 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
 
     The lower triangle of C^T A C is formed from ``COARSE_CHUNK`` columns of
     A C at a time and factored in place, so no n x n_c block besides C and
-    no second n_c x n_c matrix is allocated.  Raises ``RankDeficient`` (with
-    the dependent column index) when the coarse matrix is not positive
-    definite, or when a pivot falls below ``RANK_GUARD_RTOL`` times the
-    largest pivot before it.
+    no second n_c x n_c matrix is allocated.  Each chunk's product with C
+    runs on a pool of ``COARSE_WORKERS`` threads while the caller forms the
+    next chunk; every product is the same call on the same operands for any
+    worker count, so the factor is bit-identical to a serial build.  Raises
+    ``RankDeficient`` (with the dependent column index) when the coarse
+    matrix is not positive definite, or when a pivot falls below
+    ``RANK_GUARD_RTOL`` times the largest pivot before it.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != A.n or C.shape[1] > A.n:
         raise ContractViolation("augmentation basis must be n x n_c with n_c <= n")
     n_c = C.shape[1]
     coarse = np.zeros((n_c, n_c), order="F")
+
+    def fill(j, cols, AC_chunk):
+        coarse[j:, cols] = C[:, j:].T @ AC_chunk
+
+    # every A @ block stays on this thread, where a tracer wrapping it keeps
+    # its one span stack, and a chunk is formed only once a worker is free,
+    # so at most COARSE_WORKERS n x COARSE_CHUNK blocks are alive
+    pending = deque()
     for j in range(0, n_c, COARSE_CHUNK):
+        if len(pending) == COARSE_WORKERS:
+            pending.popleft().result()
         cols = slice(j, min(j + COARSE_CHUNK, n_c))
-        coarse[j:, cols] = C[:, j:].T @ (A @ C[:, cols])
+        pending.append(_coarse_pool.submit(fill, j, cols, A @ C[:, cols]))
+    for future in pending:
+        future.result()
     L = dense_cholesky(coarse, pivot_rtol=RANK_GUARD_RTOL, lower_only=True)
     return DeflationOperator(C, A, L)
 

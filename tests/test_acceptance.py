@@ -286,7 +286,7 @@ def test_criterion_7_selection_and_coarse_identity(capsys):
         spectrum = select_spectrum(trace, RecycleStrategy("srks",
                                                           epsilon=1e-10))
         if spectrum.converged_mask.any():
-            state = AugmentationState.from_initial(n)
+            state = AugmentationState(n)
             update_basis_srks(state, spectrum)
             coarse = state.basis.T @ (A @ state.basis)
             ok &= np.allclose(coarse, np.eye(state.n_c), atol=1e-8)

@@ -47,7 +47,7 @@ def test_strategy_validation():
 
 
 def test_augmentation_state_bookkeeping(rng):
-    state = AugmentationState.from_initial(6)
+    state = AugmentationState(6)
     assert state.n_c == 0
     state.append(rng.standard_normal((6, 2)), [("initial", j) for j in range(2)])
     assert state.n_c == 2
@@ -63,7 +63,7 @@ def test_augmentation_block_grows_and_closes_up(rng):
     the last column match a column_stack / np.delete reference; the operator
     built on the state reads its block, not a copy."""
     n = 40
-    state = AugmentationState.from_initial(n)
+    state = AugmentationState(n)
     ref, ref_tags = np.zeros((n, 0)), []
     # capacity goes 3, 6, 12, 24: the appends of 1, 5 and 9 columns overflow it
     for k, size in enumerate((3, 1, 5, 2, 9)):
@@ -94,7 +94,7 @@ def test_guarded_deflation_drops_dependent_columns(rng):
     A = random_spd_matrix(8, rng)
     good = rng.standard_normal((8, 2))
     C = np.column_stack([good, good[:, 0] + 2.0 * good[:, 1]])
-    state = AugmentationState.from_initial(8)
+    state = AugmentationState(8)
     state.append(C, [("initial", j) for j in range(3)])
     events = []
     D = guarded_deflation(A, state, events)
@@ -107,7 +107,7 @@ def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
     A = random_spd_matrix(60, rng)
     C = rng.standard_normal((60, 40))
     C[:, 25] = C[:, 3] + 2.0 * C[:, 11]
-    state = AugmentationState.from_initial(60)
+    state = AugmentationState(60)
     tags = [("direction", 0, j) for j in range(40)]
     state.append(C, tags)
     events = []
@@ -120,7 +120,7 @@ def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
 
 def test_guarded_deflation_all_columns_dependent(rng):
     A = random_spd_matrix(8, rng)
-    state = AugmentationState.from_initial(8)
+    state = AugmentationState(8)
     state.append(np.zeros((8, 3)), [("initial", j) for j in range(3)])
     events = []
     D = guarded_deflation(A, state, events)
@@ -137,7 +137,7 @@ def test_guarded_deflation_all_columns_dependent(rng):
 def test_trks_appends_all_directions(rng):
     A = random_spd_matrix(12, rng)
     _, trace = solve_once(A, rng.standard_normal(12), tol=1e-3)
-    state = AugmentationState.from_initial(12)
+    state = AugmentationState(12)
     update_basis_trks(state, trace)
     assert state.n_c == trace.iterations
     np.testing.assert_allclose(np.linalg.norm(state.basis, axis=0), 1.0)
@@ -146,13 +146,13 @@ def test_trks_appends_all_directions(rng):
 def test_trks_requires_stored_directions(rng):
     A = random_spd_matrix(8, rng)
     _, trace = solve_once(A, rng.standard_normal(8), store="none")
-    state = AugmentationState.from_initial(8)
+    state = AugmentationState(8)
     with pytest.raises(ContractViolation):
         update_basis_trks(state, trace)
 
 
 def test_trks_zero_iteration_trace_is_noop():
-    state = AugmentationState.from_initial(4)
+    state = AugmentationState(4)
     update_basis_trks(state, SolveTrace())
     assert state.n_c == 0
 
@@ -161,7 +161,7 @@ def test_srks_no_flags_is_noop(rng):
     A = random_spd_matrix(10, rng)
     _, trace = solve_once(A, rng.standard_normal(10))
     spectrum = select_spectrum(trace, RecycleStrategy("srks", epsilon=1e-30))
-    state = AugmentationState.from_initial(10)
+    state = AugmentationState(10)
     update_basis_srks(state, spectrum)
     # with an absurdly small epsilon essentially nothing stagnates
     assert state.n_c == int(spectrum.converged_mask.sum())
@@ -172,7 +172,7 @@ def test_srks_requires_mask(rng):
     _, trace = solve_once(A, rng.standard_normal(6))
     spectrum = ritz_pairs(lanczos_from_trace(trace))
     with pytest.raises(ContractViolation):
-        update_basis_srks(AugmentationState.from_initial(6), spectrum)
+        update_basis_srks(AugmentationState(6), spectrum)
 
 
 def test_srks_selection_monotone_in_epsilon(rng):
@@ -188,7 +188,7 @@ def test_srks_constant_operator_coarse_identity(rng):
     _, trace = solve_once(A, rng.standard_normal(30), tol=1e-12)
     spectrum = select_spectrum(trace, RecycleStrategy("srks", epsilon=1e-10))
     assert spectrum.converged_mask.sum() >= 3
-    state = AugmentationState.from_initial(30)
+    state = AugmentationState(30)
     update_basis_srks(state, spectrum)
     coarse = state.basis.T @ (A @ state.basis)
     np.testing.assert_allclose(coarse, np.eye(state.n_c), atol=1e-8)
@@ -281,7 +281,7 @@ def test_srks_rejects_vectors_of_unflagged_values(rng):
     mask = flag_spectrum(view.tridiag, full.values, RecycleStrategy("srks", epsilon=1e-6))
     assert 0 < mask.sum() < len(mask)
     with pytest.raises(ContractViolation):
-        update_basis_srks(AugmentationState.from_initial(20),
+        update_basis_srks(AugmentationState(20),
                           replace(full, converged_mask=mask))
 
 
@@ -338,7 +338,7 @@ def test_removed_sequence_settings_are_rejected(rng):
         run_sequence([(A, np.ones(6))], Preconditioner.jacobi, RecycleStrategy(),
                      SolveConfig(), C0=np.eye(6)[:, :1])
     with pytest.raises(TypeError):
-        AugmentationState.from_initial(6, np.eye(6)[:, :1])
+        AugmentationState(6, np.eye(6)[:, :1])
 
 
 def test_record_bookkeeping(rng):

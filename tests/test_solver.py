@@ -1,6 +1,8 @@
 """Deflated CG solver tests: projector contracts, trace contracts,
 equivalence with explicitly projected / split-preconditioned formulations."""
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ import scipy.linalg
 import scipy.sparse
 
 from recycg import (ContractViolation, NumericalFailure, Preconditioner,
-                    SolveConfig, SolveTrace, SparseSpdMatrix, apcg_solve,
-                    benchmark_spec, build_deflation, dense_sym_eig,
-                    generate_diffusion_sequence)
+                    RankDeficient, SolveConfig, SolveTrace, SparseSpdMatrix,
+                    apcg_solve, benchmark_spec, build_deflation, dense_sym_eig,
+                    generate_diffusion_sequence, solver)
 from conftest import (preconditioned_residuals, random_spd, random_spd_matrix,
                       residual_history)
 
@@ -218,6 +220,93 @@ def test_deflation_keeps_no_block_beside_the_basis():
     lap = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid, grid))
     eye = scipy.sparse.identity(grid)
     A = SparseSpdMatrix.from_scipy(scipy.sparse.kron(lap, eye) + scipy.sparse.kron(eye, lap))
+    rng = np.random.default_rng(0)
+    C = np.asfortranarray(rng.standard_normal((A.n, 300)))
+    x = rng.standard_normal(A.n)
+    tracemalloc.start()
+    try:
+        D = build_deflation(A, C)
+        D.project(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(D.basis, C)
+    assert peak < C.nbytes
+
+
+def diffusion_64():
+    """The 5-point Laplacian on a 64 x 64 grid, n 4096."""
+    lap = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(64, 64))
+    eye = scipy.sparse.identity(64)
+    return SparseSpdMatrix.from_scipy(scipy.sparse.kron(lap, eye) + scipy.sparse.kron(eye, lap))
+
+
+@pytest.fixture
+def coarse_pool(monkeypatch):
+    """``use(workers, in_flight)`` gives the coarse build a pool of
+    ``workers`` threads and lets ``in_flight`` chunk products run at once
+    (default: as many as there are workers)."""
+    pools = []
+
+    def use(workers, in_flight=None):
+        pools.append(ThreadPoolExecutor(workers))
+        monkeypatch.setattr(solver, "_coarse_pool", pools[-1])
+        monkeypatch.setattr(solver, "COARSE_WORKERS", in_flight or workers)
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+def test_coarse_factor_bit_identical_for_one_and_two_workers(coarse_pool):
+    A = diffusion_64()
+    C = np.asfortranarray(np.random.default_rng(1).standard_normal((A.n, 300)))
+    factors = {}
+    for workers in (1, 2):
+        coarse_pool(workers)
+        factors[workers] = [build_deflation(A, C[:, :n_c]).coarse_factor
+                            for n_c in (0, 1, 63, 64, 65, 200, 300)]
+    for one, two in zip(factors[1], factors[2]):
+        np.testing.assert_array_equal(one, two)
+
+
+def test_dependent_column_reported_alike_by_one_and_two_workers(coarse_pool):
+    A = diffusion_64()
+    C = np.asfortranarray(np.random.default_rng(2).standard_normal((A.n, 200)))
+    C[:, 150] = C[:, 3] - 2.0 * C[:, 90]
+    columns = []
+    for workers in (1, 2):
+        coarse_pool(workers)
+        with pytest.raises(RankDeficient) as exc_info:
+            build_deflation(A, C)
+        columns.append(exc_info.value.column)
+    assert columns[0] == columns[1] == 150
+
+
+def test_coarse_build_forms_every_block_product_on_the_calling_thread(
+        coarse_pool, monkeypatch):
+    """A tracer wrapping ``A @`` keeps one span stack, so the chunks of A C
+    are formed by the caller while the pool multiplies them by C."""
+    coarse_pool(2)
+    A = diffusion_64()
+    C = np.asfortranarray(np.random.default_rng(3).standard_normal((A.n, 300)))
+    matmul, calls = SparseSpdMatrix.__matmul__, []
+
+    def spy(self, other):
+        calls.append((threading.get_ident(), np.ndim(other)))
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseSpdMatrix, "__matmul__", spy)
+    build_deflation(A, C)
+    assert calls == [(threading.get_ident(), 2)] * 5
+
+
+def test_deflation_keeps_no_block_beside_the_basis_with_four_workers(coarse_pool):
+    """A pool of four threads forms no more chunks at once than
+    ``COARSE_WORKERS``: the in-flight window, not the thread count, bounds
+    the build's temporaries below one n x n_c block."""
+    coarse_pool(4, in_flight=solver.COARSE_WORKERS)
+    A = diffusion_64()
     rng = np.random.default_rng(0)
     C = np.asfortranarray(rng.standard_normal((A.n, 300)))
     x = rng.standard_normal(A.n)
