@@ -164,15 +164,12 @@ def problem_spec_from_dict(problem, path="config"):
             grid=grid,
             inclusion_layout=layout,
             matrix_coeff_mean=config_value(path, "matrix_coeff_mean",
-                                           problem.get("matrix_coeff_mean", 1.0), float,
-                                           math.isfinite),
+                                           problem.get("matrix_coeff_mean", 1.0), float),
             # one mean for every block or a list of one mean per block
             inclusion_coeff_mean=config_value(
                 path, "inclusion_coeff_mean", problem.get("inclusion_coeff_mean", 100.0),
-                lambda v: np.array(v, dtype=np.float64),
-                lambda a: a.ndim <= 1 and np.isfinite(a).all()),
-            rel_std=config_value(path, "rel_std", problem.get("rel_std", 0.10), float,
-                                 math.isfinite),
+                lambda v: np.array(v, dtype=np.float64), lambda a: a.ndim <= 1),
+            rel_std=config_value(path, "rel_std", problem.get("rel_std", 0.10), float),
             seed=seed)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing config key 'problem.{exc.args[0]}'") from exc
@@ -242,13 +239,15 @@ class ExperimentConfig:
                                      lambda v: 0.0 < v < 1.0)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from exc
-        if not strategies or not tolerances:
-            raise ConfigError(f"{path}: strategies and tolerances must be nonempty lists")
+        preconditioners = config_list(path, "preconditioners",
+                                      raw.get("preconditioners", ["jacobi"]), str,
+                                      PRECONDITIONERS.__contains__)
+        if not (strategies and preconditioners and tolerances):
+            raise ConfigError(f"{path}: strategies, preconditioners and tolerances cannot be empty")
+        if isinstance(problem, MatrixFiles) and not problem.matrices:
+            raise ConfigError(f"{path}: problem.matrices must be a nonempty list")
         config = cls(problem=problem, count=count, strategies=strategies,
-                     preconditioners=config_list(path, "preconditioners",
-                                                 raw.get("preconditioners", ["jacobi"]), str,
-                                                 PRECONDITIONERS.__contains__),
-                     tolerances=tolerances,
+                     preconditioners=preconditioners, tolerances=tolerances,
                      max_iters=config_value(path, "max_iters", raw.get("max_iters", 2000),
                                             operator.index, lambda v: v >= 1),
                      output_dir=config_value(path, "output_dir", raw.get("output_dir", "out"),

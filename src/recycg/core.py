@@ -102,10 +102,7 @@ class SparseSpdMatrix:
             ro = np.arange(n + 1) * n
             ci = np.tile(np.arange(n), n)
             return cls(n, ro, ci, sym.ravel())
-        csr = scipy.sparse.csr_matrix(sym)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(n, csr.indptr, csr.indices, csr.data)
+        return cls.from_scipy(sym)
 
     @classmethod
     def from_scipy(cls, mat):

@@ -10,6 +10,7 @@ convergence-theory checks.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -42,11 +43,13 @@ class InclusionGridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        grid = tuple(int(g) for g in self.grid)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "inclusion_layout",
-                           tuple(tuple(tuple(int(v) for v in rng) for rng in block)
-                                 for block in self.inclusion_layout))
+        try:
+            object.__setattr__(self, "grid", grid := tuple(map(operator.index, self.grid)))
+            object.__setattr__(self, "inclusion_layout",
+                               tuple(tuple(tuple(map(operator.index, rng)) for rng in block)
+                                     for block in self.inclusion_layout))
+        except TypeError as exc:
+            raise ContractViolation(f"grid and block bounds must be integers ({exc})") from None
         inc = self.inclusion_coeff_mean
         if np.ndim(inc) == 0:
             inc = (inc,) * len(self.inclusion_layout)
@@ -57,10 +60,11 @@ class InclusionGridSpec:
         if len(grid) not in (1, 2, 3) or any(g < 1 for g in grid) or \
                 max(grid) < 2:
             raise ContractViolation("grid must be a 1/2/3-D lattice with >= 2 cells")
-        if not (self.matrix_coeff_mean > 0 and all(m > 0 for m in inc)):
-            raise ContractViolation("coefficient means must be positive")
-        if not self.rel_std >= 0:
-            raise ContractViolation("rel_std must be nonnegative")
+        # an infinite mean would make the positive redraw loop forever
+        if not all(0 < m < np.inf for m in (self.matrix_coeff_mean, *inc)):
+            raise ContractViolation("coefficient means must be positive and finite")
+        if not 0 <= self.rel_std < np.inf:
+            raise ContractViolation("rel_std must be nonnegative and finite")
         for block in self.inclusion_layout:
             if len(block) != len(grid):
                 raise ContractViolation("inclusion block rank must match grid rank")
@@ -73,22 +77,22 @@ class InclusionGridSpec:
         return int(np.prod(self.grid))
 
 
-def regular_inclusion_layout(grid, per_axis, fill=0.5):
-    """A regular ``per_axis x per_axis (x per_axis)`` arrangement of blocks."""
+def regular_inclusion_layout(grid, per_axis):
+    """A regular ``per_axis x per_axis (x per_axis)`` arrangement of blocks half a cell wide."""
     spans = []
     for g in grid:
         cell = g / per_axis
-        width = max(1, int(round(cell * fill)))
+        width = max(1, int(round(cell * 0.5)))
         spans.append([(int(round(i * cell + (cell - width) / 2)),) for i in range(per_axis)])
         spans[-1] = [(s[0], min(g, s[0] + width)) for s in spans[-1]]
     return tuple(product(*spans))
 
 
-def benchmark_spec(seed=0, grid=(64, 64), per_axis=4, contrast_range=(1.0, 3.0)):
+def benchmark_spec(seed=0, grid=(64, 64)):
     """The standard benchmark problem: a 64x64 grid with a 4x4 arrangement of
-    inclusions whose stiffness means are geometrically spread."""
-    layout = regular_inclusion_layout(grid, per_axis)
-    means = np.logspace(contrast_range[0], contrast_range[1], len(layout))
+    inclusions whose stiffness means are geometrically spread from 10 to 1000."""
+    layout = regular_inclusion_layout(grid, 4)
+    means = np.logspace(1.0, 3.0, len(layout))
     return InclusionGridSpec(grid=tuple(grid), inclusion_layout=layout,
                              inclusion_coeff_mean=tuple(means),
                              rel_std=0.10, seed=seed)

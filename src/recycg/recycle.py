@@ -40,8 +40,8 @@ class RecycleStrategy:
     def __post_init__(self):
         if self.kind not in (NONE, TRKS, SRKS, SRKS_CLUSTER):
             raise ContractViolation(f"unknown strategy kind {self.kind!r}")
-        if self.kind in (SRKS, SRKS_CLUSTER) and self.epsilon <= 0.0:
-            raise ContractViolation("epsilon must be positive for SRKS kinds")
+        if self.kind in (SRKS, SRKS_CLUSTER) and not 0.0 < self.epsilon < math.inf:
+            raise ContractViolation("epsilon must be positive and finite for SRKS kinds")
 
 
 class AugmentationState:

@@ -32,12 +32,10 @@ RANK_GUARD_RTOL = 1e-12
 # fastest of 32-256 at n 4096 (n_c 300 and 1589, one OpenBLAS thread on a
 # 2-core Xeon VM), and it bounds the build's temporaries to a few n x 64 blocks
 COARSE_CHUNK = 64
-# threads that form the chunk products C[:, j:]^T (A C_chunk) of the coarse
-# build, and the number of those products in flight: numpy releases the GIL
-# inside BLAS, so two single-threaded GEMMs run at once on two cores.  The
-# pool starts no thread until the first build.
-COARSE_WORKERS = min(2, len(os.sched_getaffinity(0)))
-_coarse_pool = ThreadPoolExecutor(COARSE_WORKERS, thread_name_prefix="recycg-coarse")
+# threads that form the coarse build's chunk products C[:, j:]^T (A C_chunk), and
+# the number in flight: numpy releases the GIL in BLAS, so two GEMMs use two cores
+COARSE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -130,9 +128,10 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
     The lower triangle of C^T A C is formed from ``COARSE_CHUNK`` columns of
     A C at a time and factored in place, so no n x n_c block besides C and
     no second n_c x n_c matrix is allocated.  Each chunk's product with C
-    runs on a pool of ``COARSE_WORKERS`` threads while the caller forms the
-    next chunk; every product is the same call on the same operands for any
-    worker count, so the factor is bit-identical to a serial build.  Raises
+    runs on one of ``COARSE_WORKERS`` threads that the build starts and joins
+    before it returns, while the caller forms the next chunk; every product
+    is the same call on the same operands for any worker count, so the
+    factor is bit-identical to a serial build.  Raises
     ``RankDeficient`` (with the dependent column index) when the coarse
     matrix is not positive definite, or when a pivot falls below
     ``RANK_GUARD_RTOL`` times the largest pivot before it.
@@ -150,13 +149,14 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
     # its one span stack, and a chunk is formed only once a worker is free,
     # so at most COARSE_WORKERS n x COARSE_CHUNK blocks are alive
     pending = deque()
-    for j in range(0, n_c, COARSE_CHUNK):
-        if len(pending) == COARSE_WORKERS:
-            pending.popleft().result()
-        cols = slice(j, min(j + COARSE_CHUNK, n_c))
-        pending.append(_coarse_pool.submit(fill, j, cols, A @ C[:, cols]))
-    for future in pending:
-        future.result()
+    with ThreadPoolExecutor(COARSE_WORKERS, thread_name_prefix="recycg-coarse") as pool:
+        for j in range(0, n_c, COARSE_CHUNK):
+            if len(pending) == COARSE_WORKERS:
+                pending.popleft().result()
+            cols = slice(j, min(j + COARSE_CHUNK, n_c))
+            pending.append(pool.submit(fill, j, cols, A @ C[:, cols]))
+        for future in pending:
+            future.result()
     L = dense_cholesky(coarse, pivot_rtol=RANK_GUARD_RTOL, lower_only=True)
     return DeflationOperator(C, A, L)
 
@@ -259,8 +259,8 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         raise ContractViolation("right-hand side length mismatch")
     if not np.all(np.isfinite(b)):
         raise ContractViolation("right-hand side must be finite")
-    if D.n != A.n:
-        raise ContractViolation("deflation operator dimension mismatch")
+    if D.A is not A:
+        raise ContractViolation("deflation operator built on another matrix")
 
     trace = SolveTrace()
     x = D.initial_guess(b)

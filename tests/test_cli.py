@@ -361,10 +361,16 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     ("[jacobi]", "[jacobi, jacobi]", "two runs share the key 'none|jacobi|1e-06'"),
     ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, 1.0000001e-6]",
      "two runs share the key 'none|jacobi|1e-06'"),
+    # an empty list would solve nothing and still exit 0
+    ("[none, trks]", "[]", "strategies, preconditioners and tolerances cannot be empty"),
+    ("[jacobi]", "[]", "strategies, preconditioners and tolerances cannot be empty"),
+    ("tolerances: [1.0e-6]", "tolerances: []",
+     "strategies, preconditioners and tolerances cannot be empty"),
 ], ids=["unknown-key", "nc_limit", "min_cluster", "epsilon", "strategy-list",
         "strategies-string", "tolerance", "max_iters-word", "max_iters-float",
         "count", "seed", "seeds-scalar", "preconditioner", "same-inline-name",
-        "same-strategy", "same-preconditioner", "same-printed-tol"])
+        "same-strategy", "same-preconditioner", "same-printed-tol", "strategies-empty",
+        "preconditioners-empty", "tolerances-empty"])
 def test_run_config_errors_exit_2(tmp_path, capsys, old, new, message):
     assert old in SMALL_CONFIG
     config = write_config(tmp_path, SMALL_CONFIG.replace(old, new))
@@ -384,6 +390,34 @@ def test_tolerance_out_of_range_rejected_before_any_solve(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err == f"error: {config}: bad tolerances value 2.0\n"
     assert solved == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
+@pytest.mark.parametrize("epsilon", [".nan", ".inf"])
+def test_non_finite_srks_epsilon_rejected_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                           kind, epsilon):
+    """A NaN epsilon would make every SRKS solve select nothing: plain PCG."""
+    import recycg.cli
+    solved = []
+    monkeypatch.setattr(recycg.cli, "run_sequence", lambda *args: solved.append(args))
+    config = write_config(tmp_path, SMALL_CONFIG.replace(
+        "[none, trks]", f"[{{kind: {kind}, epsilon: {epsilon}}}]"))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: epsilon must be positive and finite for SRKS kinds\n"
+    assert solved == [] and not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_empty_matrices_list(tmp_path, capsys, monkeypatch):
+    """A files problem with no matrix would write a header-only runs.csv."""
+    monkeypatch.chdir(tmp_path)
+    write_matrix_market(tmp_path / "b.mtx", np.ones(4))
+    config = write_config(tmp_path, "problem:\n  kind: files\n  rhs: b.mtx\n  matrices: []\n"
+                                    "strategies: [none]\ntolerances: [1.0e-6]\n")
+    assert main(["run", "--config", str(config), "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: problem.matrices must be a nonempty list\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("rhs, matrix, message", [

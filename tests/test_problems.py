@@ -49,6 +49,23 @@ def test_spec_rejects_nonpositive_means():
         InclusionGridSpec(grid=(4, 4), matrix_coeff_mean=float("nan"))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"matrix_coeff_mean": float("inf")},
+    {"inclusion_layout": (((0, 2), (0, 2)),), "inclusion_coeff_mean": float("inf")},
+    {"inclusion_layout": (((0, 2), (0, 2)), ((2, 4), (2, 4))),
+     "inclusion_coeff_mean": (10.0, float("inf"))},
+    {"rel_std": float("inf")},
+    {"grid": (4.7, 4)},
+    {"inclusion_layout": (((0, 2.5), (0, 2)),)},
+], ids=["matrix-mean-inf", "inclusion-mean-inf", "one-inclusion-mean-inf", "rel_std-inf",
+        "grid-float", "block-bound-float"])
+def test_spec_rejects_non_finite_and_non_integer_input(kwargs):
+    """An infinite mean would make the positive redraw loop forever, and a
+    fractional size or bound would be truncated."""
+    with pytest.raises(ContractViolation):
+        InclusionGridSpec(**{"grid": (4, 4), **kwargs})
+
+
 def test_regular_layout_counts():
     layout = regular_inclusion_layout((64, 64), 4)
     assert len(layout) == 16

@@ -46,6 +46,14 @@ def test_strategy_validation():
         RecycleStrategy("srks", epsilon=0.0)
 
 
+@pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_srks_strategy_rejects_a_non_finite_epsilon(kind, epsilon):
+    """NaN would select no Ritz value, and +inf every one."""
+    with pytest.raises(ContractViolation, match="finite"):
+        RecycleStrategy(kind, epsilon=epsilon)
+
+
 def test_augmentation_state_bookkeeping(rng):
     state = AugmentationState(6)
     assert state.n_c == 0

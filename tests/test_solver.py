@@ -1,8 +1,13 @@
 """Deflated CG solver tests: projector contracts, trace contracts,
 equivalence with explicitly projected / split-preconditioned formulations."""
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,19 +248,18 @@ def diffusion_64():
 
 @pytest.fixture
 def coarse_pool(monkeypatch):
-    """``use(workers, in_flight)`` gives the coarse build a pool of
-    ``workers`` threads and lets ``in_flight`` chunk products run at once
-    (default: as many as there are workers)."""
-    pools = []
+    """``use(workers, in_flight)`` has each coarse build start ``workers``
+    threads and let ``in_flight`` chunk products run at once (default: as
+    many as there are workers).  ``COARSE_WORKERS`` sets both in the solver;
+    a different thread count swaps in an executor of that many threads."""
 
     def use(workers, in_flight=None):
-        pools.append(ThreadPoolExecutor(workers))
-        monkeypatch.setattr(solver, "_coarse_pool", pools[-1])
         monkeypatch.setattr(solver, "COARSE_WORKERS", in_flight or workers)
+        if in_flight is not None:
+            monkeypatch.setattr(solver, "ThreadPoolExecutor",
+                                lambda _, **kwargs: ThreadPoolExecutor(workers, **kwargs))
 
-    yield use
-    for pool in pools:
-        pool.shutdown()
+    return use
 
 
 def test_coarse_factor_bit_identical_for_one_and_two_workers(coarse_pool):
@@ -321,6 +325,48 @@ def test_deflation_keeps_no_block_beside_the_basis_with_four_workers(coarse_pool
     assert peak < C.nbytes
 
 
+def test_coarse_build_leaves_no_thread_running():
+    """The build joins the workers it starts before it returns."""
+    A = diffusion_64()
+    C = np.asfortranarray(np.random.default_rng(4).standard_normal((A.n, 200)))
+    before = threading.active_count()
+    build_deflation(A, C)
+    assert threading.active_count() == before
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("recycg-coarse")]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the fork start method is unavailable")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_builds_after_a_parent_build():
+    """A child forked after a build in its parent completes its own build:
+    it starts its own workers instead of waiting on threads it lacks."""
+    A = diffusion_64()
+    C = np.asfortranarray(np.random.default_rng(5).standard_normal((A.n, 100)))
+    build_deflation(A, C)
+    child = multiprocessing.get_context("fork").Process(target=build_deflation, args=(A, C))
+    child.start()
+    child.join(30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_import_without_sched_getaffinity():
+    """Where the OS has no ``sched_getaffinity`` (macOS, Windows), the
+    worker count comes from ``os.cpu_count`` and the import succeeds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import os; os.__dict__.pop('sched_getaffinity', None); import recycg; "
+            "print(recycg.solver.COARSE_WORKERS)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == min(2, os.cpu_count() or 1)
+
+
 # ---------------------------------------------------------------------------
 # apcg_solve basics
 
@@ -384,6 +430,17 @@ def test_max_iters_reports_nonconvergence(rng):
     _, trace = solve(A, b, tol=1e-12, max_iters=3)
     assert not trace.converged
     assert trace.iterations == 3
+
+
+def test_deflation_operator_of_another_matrix_rejected(rng):
+    """A projector built on another matrix, even one of the same size, would
+    make the loop and the projection use different operators."""
+    A = random_spd_matrix(30, rng)
+    other = SparseSpdMatrix.from_dense(A.to_dense() + 30.0 * np.eye(30), keep_zeros=True)
+    D = build_deflation(other, rng.standard_normal((30, 4)))
+    with pytest.raises(ContractViolation, match="another matrix"):
+        apcg_solve(A, Preconditioner.identity(), D, rng.standard_normal(30),
+                   SolveConfig(max_iters=200))
 
 
 @pytest.mark.parametrize("n_c", [0, 2])
