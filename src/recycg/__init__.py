@@ -8,9 +8,9 @@ from .solver import (DeflationOperator, Preconditioner, SolveConfig,
 from .ritz import (LanczosView, RatePrediction, RitzSpectrum, cluster_filter,
                    instantaneous_rate, lanczos_from_trace, lanczos_tridiag,
                    predict_iterations, ritz_pairs, select_converged)
-from .recycle import (AugmentationState, RecycleStrategy, SequenceReport,
-                      run_sequence, subspace_overlap, update_basis_srks,
-                      update_basis_trks)
+from .recycle import (AugmentationState, RecycleStrategy, Recycler,
+                      SequenceReport, run_sequence, subspace_overlap,
+                      update_basis_srks, update_basis_trks)
 from .problems import (InclusionGridSpec, SpectrumSpec, benchmark_spec,
                        generate_diffusion_sequence,
                        generate_prescribed_spectrum, read_matrix_market,

@@ -239,6 +239,8 @@ class ExperimentConfig:
                                      lambda v: 0.0 < v < 1.0)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from exc
+        except ContractViolation as exc:  # a strategy's kind or epsilon
+            raise ConfigError(f"{path}: {exc}") from exc
         preconditioners = config_list(path, "preconditioners",
                                       raw.get("preconditioners", ["jacobi"]), str,
                                       PRECONDITIONERS.__contains__)

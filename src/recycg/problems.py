@@ -309,20 +309,14 @@ def read_matrix_market(path):
 
 def write_matrix_market(path, obj):
     """Write a matrix (coordinate symmetric, lower triangle) or a vector (array)."""
-    path = Path(path)
     if isinstance(obj, SparseSpdMatrix):
-        lines = ["%%MatrixMarket matrix coordinate real symmetric\n"]
-        entries = []
-        for i in range(obj.n):
-            for idx in range(obj.row_offsets[i], obj.row_offsets[i + 1]):
-                j = obj.col_indices[idx]
-                if j <= i:
-                    entries.append((i + 1, j + 1, obj.values[idx]))
-        lines.append(f"{obj.n} {obj.n} {len(entries)}\n")
-        lines.extend(f"{i} {j} {v:.17g}\n" for i, j, v in entries)
+        rows = np.repeat(np.arange(obj.n), np.diff(obj.row_offsets))
+        lower = obj.col_indices <= rows
+        head = f"%%MatrixMarket matrix coordinate real symmetric\n{obj.n} {obj.n} {lower.sum()}\n"
+        body = map("{} {} {:.17g}\n".format, (rows[lower] + 1).tolist(),
+                   (obj.col_indices[lower] + 1).tolist(), obj.values[lower].tolist())
     else:
         vec = np.asarray(obj, dtype=np.float64).reshape(-1)
-        lines = ["%%MatrixMarket matrix array real general\n",
-                 f"{len(vec)} 1\n"]
-        lines.extend(f"{v:.17g}\n" for v in vec)
-    path.write_text("".join(lines))
+        head = f"%%MatrixMarket matrix array real general\n{len(vec)} 1\n"
+        body = map("{:.17g}\n".format, vec.tolist())
+    Path(path).write_text(head + "".join(body))

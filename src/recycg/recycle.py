@@ -179,6 +179,63 @@ def select_spectrum(trace: SolveTrace, strategy: RecycleStrategy):
     return ritz_pairs(view, lambda values: flag_spectrum(view.tridiag, values, strategy))
 
 
+class Recycler:
+    """``run_sequence`` one system at a time: ``solve(A, b)`` returns ``x``, so
+    system k+1 may be built from ``x_k``, and adds its record to ``report``."""
+
+    def __init__(self, M_factory, strategy: RecycleStrategy, cfg: SolveConfig):
+        self.M_factory, self.strategy = M_factory, strategy
+        self.cfg = replace(cfg, store=STORE[strategy.kind])
+        self.state = None  # made at the first system, whose n sizes the basis
+        self.report = SequenceReport()
+
+    def solve(self, A: SparseSpdMatrix, b):
+        """Step k = len(report.records); a failed solve aborts and re-raises."""
+        report, k = self.report, len(self.report.records)
+        if self.state is None:
+            self.state = AugmentationState(A.n)
+        state, n_c_before = self.state, self.state.n_c
+
+        t0 = perf_counter()
+        D = guarded_deflation(A, state, report.events)
+        build_seconds = perf_counter() - t0
+
+        M = self.M_factory(A)
+        t0 = perf_counter()
+        try:
+            x, trace = apcg_solve(A, M, D, b, self.cfg)
+            if self.cfg.store == "directions" and trace.iterations >= A.n:
+                report.events.append(("swept_resolve", k, trace.iterations))
+                x, trace = apcg_solve(A, M, D, b, replace(self.cfg, store="swept"))
+        except NumericalFailure as exc:
+            report.events.append(("solve_failed", k, str(exc)))
+            report.aborted = True
+            raise
+        solve_seconds = perf_counter() - t0
+        # free the coarse factor and the operator's view of the basis block
+        # before the basis grows, so a regrown block never sits beside the old
+        del D
+
+        t0 = perf_counter()
+        if trace.converged and trace.iterations > 0:
+            if self.strategy.kind == TRKS:
+                update_basis_trks(state, trace, system_index=k)
+            elif self.strategy.kind in (SRKS, SRKS_CLUSTER):
+                update_basis_srks(state, select_spectrum(trace, self.strategy),
+                                  system_index=k)
+        selected = state.n_c - n_c_before
+        update_seconds = perf_counter() - t0
+
+        # a zero b is solved by x = 0 with a zero residual
+        final_rel = trace.true_residual_norm / (float(np.linalg.norm(b)) or 1.0)
+        report.records.append(SystemRecord(
+            k=k, iterations=trace.iterations, n_c_before=n_c_before,
+            n_c_selected=selected, solve_seconds=solve_seconds,
+            augmentation_seconds=build_seconds + update_seconds,
+            final_residual=final_rel, converged=trace.converged))
+        return x
+
+
 def run_sequence(systems, M_factory, strategy: RecycleStrategy,
                  cfg: SolveConfig) -> SequenceReport:
     """Solve a sequence of (A, b) systems, recycling per the chosen strategy.
@@ -192,56 +249,15 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
     solved again swept and logged as a ``swept_resolve`` event.  A failed
     solve aborts with a partial report.
     """
-    run_cfg = replace(cfg, store=STORE[strategy.kind])
-    report = SequenceReport()
-    state = None
-    for k, (A, b) in enumerate(systems):
-        if state is None:
-            state = AugmentationState(A.n)
-        n_c_before = state.n_c
-
-        t0 = perf_counter()
-        D = guarded_deflation(A, state, report.events)
-        build_seconds = perf_counter() - t0
-
-        M = M_factory(A)
-        t0 = perf_counter()
-        try:
-            x, trace = apcg_solve(A, M, D, b, run_cfg)
-            if run_cfg.store == "directions" and trace.iterations >= A.n:
-                report.events.append(("swept_resolve", k, trace.iterations))
-                x, trace = apcg_solve(A, M, D, b, replace(run_cfg, store="swept"))
-        except NumericalFailure as exc:
-            report.events.append(("solve_failed", k, str(exc)))
-            report.aborted = True
-            break
-        solve_seconds = perf_counter() - t0
-        # free the coarse factor and the operator's view of the basis block
-        # before the basis grows, so a regrown block never sits beside the old
-        del D
-
-        t0 = perf_counter()
-        if trace.converged and trace.iterations > 0:
-            if strategy.kind == TRKS:
-                update_basis_trks(state, trace, system_index=k)
-            elif strategy.kind in (SRKS, SRKS_CLUSTER):
-                update_basis_srks(state, select_spectrum(trace, strategy),
-                                  system_index=k)
-        selected = state.n_c - n_c_before
-        update_seconds = perf_counter() - t0
-
-        # a zero b is solved by x = 0 with a zero residual
-        final_rel = trace.true_residual_norm / (float(np.linalg.norm(b)) or 1.0)
-        report.records.append(SystemRecord(
-            k=k, iterations=trace.iterations, n_c_before=n_c_before,
-            n_c_selected=selected, solve_seconds=solve_seconds,
-            augmentation_seconds=build_seconds + update_seconds,
-            final_residual=final_rel, converged=trace.converged))
-        # free the Krylov block before the next build
-        del trace
-    if state is not None:
-        report.final_basis = state.basis
-    return report
+    recycler = Recycler(M_factory, strategy, cfg)
+    try:
+        for A, b in systems:
+            recycler.solve(A, b)
+    except NumericalFailure:
+        if not recycler.report.aborted:
+            raise
+    recycler.report.final_basis = getattr(recycler.state, "basis", None)
+    return recycler.report
 
 
 def subspace_overlap(U1, U2):

@@ -166,7 +166,7 @@ class SolveConfig:
     """Tolerance, iteration cap and direction store of one solve.
 
     ``store`` keeps nothing, the search directions, or the directions each
-    swept A-orthogonal against all earlier ones.  ``run_sequence`` sets it
+    swept A-orthogonal against all earlier ones.  ``Recycler`` sets it
     from the strategy: ``none`` keeps nothing; TRKS sweeps, since its basis
     is the directions (unswept, its tol 1e-6 benchmark run aborts at system
     29 with (r, z) <= 0); SRKS does not, since plain CG loses orthogonality
@@ -302,7 +302,7 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         x += step
         Aw *= alpha
         r -= Aw
-        rnorm = float(np.linalg.norm(r))
+        rnorm = float(np.linalg.norm(r))  # sqrt(r . r): histories rest on its bits, not dnrm2's
         if not math.isfinite(rnorm):
             raise NumericalFailure("residual norm is not finite")
         trace.residual_norms.append(rnorm)

@@ -404,8 +404,19 @@ def test_non_finite_srks_epsilon_rejected_before_any_solve(tmp_path, capsys, mon
         "[none, trks]", f"[{{kind: {kind}, epsilon: {epsilon}}}]"))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: epsilon must be positive and finite for SRKS kinds\n"
+    assert err == f"error: {config}: epsilon must be positive and finite for SRKS kinds\n"
     assert solved == [] and not (tmp_path / "out").exists()
+
+
+def test_unknown_strategy_kind_is_a_config_error(tmp_path, capsys):
+    """The strategy's own check reaches the caller as a ConfigError with the path."""
+    config = write_config(tmp_path, SMALL_CONFIG.replace("[none, trks]", "[{kind: bogus}]"))
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig.from_file(config)
+    assert str(excinfo.value) == f"{config}: unknown strategy kind 'bogus'"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {config}: unknown strategy kind 'bogus'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_an_empty_matrices_list(tmp_path, capsys, monkeypatch):

@@ -319,6 +319,19 @@ def test_matrix_round_trip(tmp_path):
     np.testing.assert_array_equal(b2, b)
 
 
+def test_written_benchmark_files_are_pinned(tmp_path):
+    """The sha256 of the Matrix Market files of the first benchmark system,
+    as the entry-by-entry writer wrote them: lower triangle in CSR order,
+    every value with 17 significant digits."""
+    A, b = next(generate_diffusion_sequence(benchmark_spec(seed=0), 1))
+    write_matrix_market(tmp_path / "A.mtx", A)
+    write_matrix_market(tmp_path / "b.mtx", b)
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("A.mtx", "b.mtx")]
+    assert digests == ["d5a46d0f9a58b5c3be2572fd1bd6277ea3992d4c4e3bad8d5c8735d21ee9773d",
+                       "eabd7ab9f6cdc91945b7e905597776de9f4c8d97c091ba5aa3c3249e9a7bfb8c"]
+
+
 def test_rejects_general_matrix_kind(tmp_path):
     path = tmp_path / "gen.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"

@@ -12,10 +12,10 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from recycg import (AugmentationState, ContractViolation, Preconditioner,
-                    RecycleStrategy, SolveConfig, SparseSpdMatrix, apcg_solve,
-                    benchmark_spec, build_deflation, generate_diffusion_sequence,
-                    lanczos_tridiag, run_sequence,
+from recycg import (AugmentationState, ContractViolation, NumericalFailure,
+                    Preconditioner, RecycleStrategy, Recycler, SolveConfig,
+                    SparseSpdMatrix, apcg_solve, benchmark_spec, build_deflation,
+                    generate_diffusion_sequence, lanczos_tridiag, run_sequence,
                     subspace_overlap, tridiag_eig, update_basis_srks,
                     update_basis_trks)
 from recycg import recycle
@@ -510,6 +510,70 @@ def test_failed_solve_aborts_with_partial_report(rng):
     assert report.aborted
     assert len(report.records) == 0
     assert any(ev[0] == "solve_failed" for ev in report.events)
+
+
+# ---------------------------------------------------------------------------
+# Recycler: one step per system
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_recycler_solves_systems_built_from_earlier_solutions(kind):
+    """Defect correction across a changing operator: system k+1 solves for
+    the correction of the running solution under A_{k+1}, so its right-hand
+    side b - A_{k+1} x exists only once x_k has been returned."""
+    tol = 1e-6
+    recycler = Recycler(Preconditioner.jacobi, RecycleStrategy(kind, epsilon=1e-6),
+                        SolveConfig(tol=tol, max_iters=500))
+    x = None
+    for A, b in generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 4):
+        rhs = b if x is None else b - A @ x
+        C = np.zeros((A.n, 0)) if recycler.state is None else recycler.state.basis.copy()
+        correction = recycler.solve(A, rhs)
+        x0 = build_deflation(A, C).initial_guess(rhs)
+        assert recycler.report.records[-1].iterations > 0
+        assert np.linalg.norm(rhs - A @ correction) <= tol * np.linalg.norm(rhs - A @ x0)
+        x = correction if x is None else x + correction
+    assert len(recycler.report.records) == 4 and recycler.report.events == []
+    assert recycler.state.n_c > 0 or kind == "none"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_recycler_loop_matches_run_sequence(kind):
+    """Every kind, on a sequence with swept re-solves and dropped columns."""
+    rng = np.random.default_rng(0)
+    systems = [(random_spd_matrix(60, rng), rng.standard_normal(60)) for _ in range(4)]
+    args = (Preconditioner.jacobi, RecycleStrategy(kind, epsilon=1e-8),
+            SolveConfig(tol=1e-8, max_iters=200))
+    report = run_sequence(iter(systems), *args)
+    recycler = Recycler(*args)
+    for A, b in systems:
+        recycler.solve(A, b)
+    manual = recycler.report
+    assert manual.iterations() == report.iterations()
+    assert manual.n_c_history() == report.n_c_history()
+    assert manual.events == report.events
+    assert {event[0] for event in report.events} == (
+        {"swept_resolve", "dropped_column"} if kind.startswith("srks") else set())
+    np.testing.assert_array_equal(recycler.state.basis, report.final_basis)
+
+
+def test_recycler_failed_solve_reraises_and_records_nothing(rng):
+    A, A_bad = random_spd_matrix(10, rng), random_spd_matrix(10, rng)
+    # an invalid (indefinite) preconditioner for the second system
+    bad = Preconditioner(inv_diag=-np.ones(10))
+
+    def preconditioner(matrix):
+        return bad if matrix is A_bad else Preconditioner.jacobi(matrix)
+
+    recycler = Recycler(preconditioner, RecycleStrategy("none"),
+                        SolveConfig(tol=1e-8, max_iters=50))
+    recycler.solve(A, rng.standard_normal(10))
+    with pytest.raises(NumericalFailure):
+        recycler.solve(A_bad, rng.standard_normal(10))
+    report = recycler.report
+    assert report.aborted and len(report.records) == 1
+    assert report.events == [("solve_failed", 1, "(r, z) <= 0: preconditioner or "
+                                                 "operator not SPD")]
 
 
 # ---------------------------------------------------------------------------
