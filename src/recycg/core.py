@@ -22,6 +22,9 @@ import scipy.sparse
 # on the 5-point stencil (1.01 slots per entry), broke even near 1.8 slots per
 # entry and was slower beyond; 1.5 keeps a margin below the break-even.
 DIA_MAX_FILL = 1.5
+# a Cholesky pivot below this times the largest pivot before it marks its
+# column as dependent on the earlier ones (the augmentation basis rank guard)
+RANK_GUARD_RTOL = 1e-12
 
 # (weak reference to the matrix applied to a vector last, its DIA operator or
 # None for CSR): one matrix's diagonals at a time, freed with the matrix
@@ -35,9 +38,9 @@ class ContractViolation(ValueError):
 class RankDeficient(RuntimeError):
     """A Cholesky pivot failed; ``column`` is the offending column index."""
 
-    def __init__(self, column, message=None):
+    def __init__(self, column):
         self.column = column
-        super().__init__(message or f"non-positive pivot at column {column}")
+        super().__init__(f"non-positive pivot at column {column}")
 
 
 class NumericalFailure(RuntimeError):
@@ -221,8 +224,6 @@ def _as_descending(values, vectors):
 
 def tridiag_eig(T: TridiagSym) -> EigDecomposition:
     """Full eigendecomposition of a symmetric tridiagonal matrix."""
-    if T.m == 1:
-        return EigDecomposition(T.diag.copy(), np.ones((1, 1)))
     try:
         values, vectors = scipy.linalg.eigh_tridiagonal(T.diag, T.offdiag)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
@@ -245,50 +246,31 @@ def dense_sym_eig(G) -> EigDecomposition:
     return _as_descending(values, vectors)
 
 
-def dense_cholesky(G, pivot_rtol=0.0, lower_only=False):
-    """Lower Cholesky factor of a dense symmetric positive definite matrix.
+def dense_cholesky(G):
+    """Lower Cholesky factor of a symmetric positive definite matrix, in place.
 
-    One LAPACK ``potrf`` call for every size; the pivot guard is applied to
-    the computed pivots afterwards.
-
-    Parameters
-    ----------
-    G : array_like
-        Symmetric matrix (checked within ``1e-12 * ||G||``).
-    pivot_rtol : float
-        Pivots below ``pivot_rtol`` times the largest pivot seen so far are
-        treated as rank deficiencies (used as the basis rank guard).
-    lower_only : bool
-        ``G`` is a column-major float64 array that holds the matrix in its
-        lower triangle only, as ``solver.build_deflation`` forms it.  The
-        upper triangle is neither read nor checked for symmetry, and ``G``
-        is overwritten by the factor, so no copy of it is made.
+    ``G`` is a writable column-major float64 square array holding the matrix
+    in its lower triangle, as ``solver.build_deflation`` forms it; the upper
+    triangle is not read, and ``G`` is overwritten by the factor.  One LAPACK
+    ``potrf`` call; the pivot guard is applied to its pivots afterwards.
 
     Raises
     ------
     RankDeficient
-        On a non-positive, non-finite or guarded pivot; carries the offending
-        column index so the caller can drop dependent columns.
+        On a non-positive or non-finite pivot, or one below
+        ``RANK_GUARD_RTOL`` times the largest pivot before it; carries the
+        offending column index so the caller can drop dependent columns.
     """
-    if lower_only:
-        if not (isinstance(G, np.ndarray) and G.dtype == np.float64
-                and G.flags.f_contiguous and G.flags.writeable):
-            raise ContractViolation("lower_only needs a writable column-major float64 array")
-    else:
-        G = np.asarray(G, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ContractViolation("input must be square")
-    if not lower_only:
-        scale = np.linalg.norm(G)
-        if scale > 0 and np.linalg.norm(G - G.T) > 1e-12 * scale:
-            raise ContractViolation("input is not symmetric")
+    if not (isinstance(G, np.ndarray) and G.dtype == np.float64 and G.ndim == 2
+            and G.shape[0] == G.shape[1] and G.flags.f_contiguous and G.flags.writeable):
+        raise ContractViolation("need a writable square column-major float64 array")
     # LAPACK stops at the first non-positive pivot and reports its column as
     # info - 1; the columns after it are left unfactored.  It lets NaN pivots
     # through, so the factor is checked for finiteness here.
-    L, info = scipy.linalg.lapack.dpotrf(G, lower=1, clean=1, overwrite_a=int(lower_only))
+    L, info = scipy.linalg.lapack.dpotrf(G, lower=1, clean=1, overwrite_a=1)
     d = np.diag(L) ** 2
     prev_max = np.concatenate(([0.0], np.maximum.accumulate(d)[:-1]))
-    bad = ~np.isfinite(L).all(axis=0) | (d <= prev_max * pivot_rtol) | (d <= 0.0)
+    bad = ~np.isfinite(L).all(axis=0) | (d <= prev_max * RANK_GUARD_RTOL) | (d <= 0.0)
     if info > 0:
         bad[info - 1] = True
     if np.any(bad):

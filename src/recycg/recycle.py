@@ -64,19 +64,16 @@ class AugmentationState:
     def basis(self):
         return self._block[:, :self.n_c]
 
-    def append(self, block, tags, divisors=None):
-        """Store the columns of ``block``, column j divided by ``divisors[j]``
-        when given, after the current ones."""
+    def append(self, block, tags, divisors):
+        """Store the columns of ``block``, column j divided by ``divisors[j]``,
+        after the current ones."""
         n, k = self._block.shape[0], block.shape[1]
         end = self.n_c + k
         if end > self._block.shape[1]:
             grown = np.empty((n, max(end, 2 * self._block.shape[1])), order="F")
             grown[:, :self.n_c] = self.basis
             self._block = grown
-        if divisors is None:
-            self._block[:, self.n_c:end] = block
-        else:
-            np.divide(block, divisors, out=self._block[:, self.n_c:end])
+        np.divide(block, divisors, out=self._block[:, self.n_c:end])
         self.n_c = end
         self.origin_tags.extend(tags)
 
@@ -148,8 +145,6 @@ def update_basis_trks(state: AugmentationState, trace: SolveTrace, system_index=
 
 def update_basis_srks(state: AugmentationState, spectrum, system_index=0):
     """Append the selected Ritz vectors, each scaled by 1/sqrt(|theta|)."""
-    if spectrum.converged_mask is None:
-        raise ContractViolation("spectrum has no convergence mask")
     values = spectrum.values[spectrum.converged_mask]
     if spectrum.vectors.shape[1] != len(values):
         raise ContractViolation("spectrum needs one vector per flagged value")
@@ -190,8 +185,11 @@ class Recycler:
         self.report = SequenceReport()
 
     def solve(self, A: SparseSpdMatrix, b):
-        """Step k = len(report.records); a failed solve aborts and re-raises."""
+        """Step k = len(report.records); a failed solve aborts and re-raises,
+        and an aborted recycler refuses every later system."""
         report, k = self.report, len(self.report.records)
+        if report.aborted:
+            raise ContractViolation("the sequence aborted at a failed solve")
         if self.state is None:
             self.state = AugmentationState(A.n)
         state, n_c_before = self.state, self.state.n_c
@@ -204,7 +202,8 @@ class Recycler:
         t0 = perf_counter()
         try:
             x, trace = apcg_solve(A, M, D, b, self.cfg)
-            if self.cfg.store == "directions" and trace.iterations >= A.n:
+            # the solve searches range(P), of dimension n - n_c
+            if self.cfg.store == "directions" and trace.iterations >= A.n - D.n_c:
                 report.events.append(("swept_resolve", k, trace.iterations))
                 x, trace = apcg_solve(A, M, D, b, replace(self.cfg, store="swept"))
         except NumericalFailure as exc:
@@ -244,10 +243,11 @@ def run_sequence(systems, M_factory, strategy: RecycleStrategy,
     converged solve and loses the columns that the rank guard drops.
     ``M_factory`` maps each operator to its preconditioner.  Only ``tol`` and
     ``max_iters`` of ``cfg`` are used; the store is the strategy's ``STORE``
-    (only TRKS sweeps; ``SolveConfig`` says why).  An unswept solve of m >= n
-    iterations (more Krylov vectors than unknowns: orthogonality is lost) is
-    solved again swept and logged as a ``swept_resolve`` event.  A failed
-    solve aborts with a partial report.
+    (only TRKS sweeps; ``SolveConfig`` says why).  An unswept solve of
+    m >= n - n_c iterations (more Krylov vectors than the projected space
+    has dimensions: orthogonality is lost) is solved again swept and logged
+    as a ``swept_resolve`` event.  A failed solve aborts with a partial
+    report.
     """
     recycler = Recycler(M_factory, strategy, cfg)
     try:

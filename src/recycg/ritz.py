@@ -47,16 +47,12 @@ class LanczosView:
 
 @dataclass(frozen=True)
 class RitzSpectrum:
-    """Ritz values (descending) with one vector per value or, when
-    ``converged_mask`` is set, one vector per flagged value only."""
+    """Ritz values (descending), the boolean mask a selection flagged them
+    with, and one Ritz vector per flagged value only."""
 
     values: np.ndarray
     vectors: np.ndarray
-    converged_mask: np.ndarray | None = None
-
-    @property
-    def m(self):
-        return len(self.values)
+    converged_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,17 +115,18 @@ def lanczos_from_trace(trace: SolveTrace) -> LanczosView:
     return LanczosView(T, trace.directions[:m], Ut.T * scales)
 
 
-def ritz_pairs(view: LanczosView, flag=None) -> RitzSpectrum:
-    """Ritz values (descending) and vectors Y = V Q of a Lanczos view.
+def ritz_pairs(view: LanczosView, flag) -> RitzSpectrum:
+    """Ritz values (descending) of a Lanczos view and the vectors Y = V Q of
+    the values that ``flag`` keeps.
 
-    ``flag`` maps the values to a boolean mask; when given, only the
-    flagged columns ``V Q[:, mask]`` are formed and the mask is kept on the
-    spectrum.  Without it all m vectors are formed.  V is applied as
-    ``directions.T @ (coefficients @ Q)``, so V itself is never formed.
+    ``flag`` maps the values to a boolean mask; only the flagged columns
+    ``V Q[:, mask]`` are formed, and the mask is kept on the spectrum.  V is
+    applied as ``directions.T @ (coefficients @ Q)``, so V itself is never
+    formed.
     """
     eig = tridiag_eig(view.tridiag)
-    mask = None if flag is None else flag(eig.values)
-    Q = eig.vectors if mask is None else eig.vectors[:, mask]
+    mask = flag(eig.values)
+    Q = eig.vectors[:, mask]
     return RitzSpectrum(eig.values, view.directions.T @ (view.coefficients @ Q), mask)
 
 

@@ -27,7 +27,6 @@ from scipy.linalg import lapack
 from .core import (ContractViolation, NumericalFailure, SparseSpdMatrix,
                    dense_cholesky)
 
-RANK_GUARD_RTOL = 1e-12
 # columns of A C formed at once while the coarse matrix is built; 64 was the
 # fastest of 32-256 at n 4096 (n_c 300 and 1589, one OpenBLAS thread on a
 # 2-core Xeon VM), and it bounds the build's temporaries to a few n x 64 blocks
@@ -134,7 +133,7 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
     factor is bit-identical to a serial build.  Raises
     ``RankDeficient`` (with the dependent column index) when the coarse
     matrix is not positive definite, or when a pivot falls below
-    ``RANK_GUARD_RTOL`` times the largest pivot before it.
+    ``core.RANK_GUARD_RTOL`` times the largest pivot before it.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != A.n or C.shape[1] > A.n:
@@ -157,7 +156,7 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
             pending.append(pool.submit(fill, j, cols, A @ C[:, cols]))
         for future in pending:
             future.result()
-    L = dense_cholesky(coarse, pivot_rtol=RANK_GUARD_RTOL, lower_only=True)
+    L = dense_cholesky(coarse)
     return DeflationOperator(C, A, L)
 
 

@@ -186,8 +186,13 @@ def test_banded_kernel_holds_one_matrix_diagonals():
 # dense_cholesky
 
 
+def lower_copy(G):
+    """The form ``dense_cholesky`` factors: G's lower triangle, column-major."""
+    return np.asfortranarray(np.tril(G))
+
+
 def test_cholesky_identity():
-    np.testing.assert_allclose(dense_cholesky(np.eye(2)), np.eye(2))
+    np.testing.assert_allclose(dense_cholesky(lower_copy(np.eye(2))), np.eye(2))
 
 
 def test_cholesky_empty():
@@ -201,20 +206,20 @@ def test_cholesky_rejects_non_matrix(G):
 
 
 def test_cholesky_2x2():
-    L = dense_cholesky(np.array([[4.0, 2.0], [2.0, 2.0]]))
+    L = dense_cholesky(lower_copy(np.array([[4.0, 2.0], [2.0, 2.0]])))
     np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, 1.0]])
 
 
 def test_cholesky_singular_raises():
     with pytest.raises(RankDeficient) as exc_info:
-        dense_cholesky(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        dense_cholesky(lower_copy(np.array([[1.0, 1.0], [1.0, 1.0]])))
     assert exc_info.value.column == 1
 
 
 def test_cholesky_reassembly(rng):
     for n in (3, 10, 50):
         G = random_spd(n, rng)
-        L = dense_cholesky(G)
+        L = dense_cholesky(lower_copy(G))
         assert np.all(np.diag(L) > 0)
         np.testing.assert_allclose(L @ L.T, G,
                                    atol=1e-10 * np.linalg.norm(G))
@@ -223,7 +228,8 @@ def test_cholesky_reassembly(rng):
 def test_cholesky_large_matches_small_path(rng):
     # the factor at a size beyond the small cases above agrees with numpy's
     G = random_spd(40, rng)
-    np.testing.assert_allclose(dense_cholesky(G), np.linalg.cholesky(G), rtol=1e-10)
+    np.testing.assert_allclose(dense_cholesky(lower_copy(G)), np.linalg.cholesky(G),
+                               rtol=1e-10)
 
 
 def test_cholesky_rank_deficient_large_reports_column(rng):
@@ -239,24 +245,19 @@ def test_cholesky_rank_deficient_large_reports_column(rng):
     indefinite[30, 30] = -1.0
     for bad, column in ((0.5 * (G2 + G2.T), 20), (indefinite, 30)):
         with pytest.raises(RankDeficient) as exc_info:
-            dense_cholesky(bad, pivot_rtol=1e-12)
+            dense_cholesky(lower_copy(bad))
         assert exc_info.value.column == column
 
 
 def test_cholesky_lower_only_factors_in_place(rng):
     G = random_spd(30, rng)
-    lower = np.asfortranarray(np.tril(G))
+    lower = lower_copy(G)
     lower[np.triu_indices(30, 1)] = np.nan  # the upper triangle is never read
-    L = dense_cholesky(lower, lower_only=True)
+    L = dense_cholesky(lower)
     assert np.shares_memory(L, lower)
-    np.testing.assert_array_equal(L, dense_cholesky(G))
+    np.testing.assert_array_equal(L, dense_cholesky(lower_copy(G)))
     with pytest.raises(ContractViolation):
-        dense_cholesky(np.ascontiguousarray(G), lower_only=True)  # row-major
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(ContractViolation):
-        dense_cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        dense_cholesky(np.ascontiguousarray(G))  # row-major
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,9 @@ def test_srks_strategy_rejects_a_non_finite_epsilon(kind, epsilon):
 def test_augmentation_state_bookkeeping(rng):
     state = AugmentationState(6)
     assert state.n_c == 0
-    state.append(rng.standard_normal((6, 2)), [("initial", j) for j in range(2)])
+    state.append(rng.standard_normal((6, 2)), [("initial", j) for j in range(2)], np.ones(2))
     assert state.n_c == 2
-    state.append(rng.standard_normal((6, 3)), [("ritz", 0, 1.0)] * 3)
+    state.append(rng.standard_normal((6, 3)), [("ritz", 0, 1.0)] * 3, np.ones(3))
     assert state.n_c == 5
     state.drop_column(3)
     assert state.n_c == 4
@@ -77,12 +77,12 @@ def test_augmentation_block_grows_and_closes_up(rng):
     for k, size in enumerate((3, 1, 5, 2, 9)):
         block = rng.standard_normal((n, size))
         tags = [("direction", k, j) for j in range(size)]
-        divisors = rng.uniform(0.5, 2.0, size) if k % 2 else None
+        divisors = rng.uniform(0.5, 2.0, size) if k % 2 else np.ones(size)
         before = state.basis
         state.append(block, tags, divisors=divisors)
         if k == 3:  # fits in the spare columns: the block is not copied
             assert np.shares_memory(before, state.basis)
-        ref = np.column_stack([ref, block if divisors is None else block / divisors])
+        ref = np.column_stack([ref, block / divisors])
         ref_tags += tags
         np.testing.assert_array_equal(state.basis, ref)
         assert state.origin_tags == ref_tags
@@ -103,7 +103,7 @@ def test_guarded_deflation_drops_dependent_columns(rng):
     good = rng.standard_normal((8, 2))
     C = np.column_stack([good, good[:, 0] + 2.0 * good[:, 1]])
     state = AugmentationState(8)
-    state.append(C, [("initial", j) for j in range(3)])
+    state.append(C, [("initial", j) for j in range(3)], np.ones(3))
     events = []
     D = guarded_deflation(A, state, events)
     assert D.n_c == 2
@@ -117,7 +117,7 @@ def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
     C[:, 25] = C[:, 3] + 2.0 * C[:, 11]
     state = AugmentationState(60)
     tags = [("direction", 0, j) for j in range(40)]
-    state.append(C, tags)
+    state.append(C, tags, np.ones(40))
     events = []
     D = guarded_deflation(A, state, events)
     assert events == [("dropped_column", 25, ("direction", 0, 25))]
@@ -129,7 +129,7 @@ def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
 def test_guarded_deflation_all_columns_dependent(rng):
     A = random_spd_matrix(8, rng)
     state = AugmentationState(8)
-    state.append(np.zeros((8, 3)), [("initial", j) for j in range(3)])
+    state.append(np.zeros((8, 3)), [("initial", j) for j in range(3)], np.ones(3))
     events = []
     D = guarded_deflation(A, state, events)
     assert events == [("dropped_column", 0, ("initial", j)) for j in range(3)]
@@ -173,14 +173,6 @@ def test_srks_no_flags_is_noop(rng):
     update_basis_srks(state, spectrum)
     # with an absurdly small epsilon essentially nothing stagnates
     assert state.n_c == int(spectrum.converged_mask.sum())
-
-
-def test_srks_requires_mask(rng):
-    A = random_spd_matrix(6, rng)
-    _, trace = solve_once(A, rng.standard_normal(6))
-    spectrum = ritz_pairs(lanczos_from_trace(trace))
-    with pytest.raises(ContractViolation):
-        update_basis_srks(AugmentationState(6), spectrum)
 
 
 def test_srks_selection_monotone_in_epsilon(rng):
@@ -285,7 +277,7 @@ def test_srks_rejects_vectors_of_unflagged_values(rng):
     A = random_spd_matrix(20, rng)
     _, trace = solve_once(A, rng.standard_normal(20))
     view = lanczos_from_trace(trace)
-    full = ritz_pairs(view)
+    full = ritz_pairs(view, lambda values: np.ones(len(values), dtype=bool))
     mask = flag_spectrum(view.tridiag, full.values, RecycleStrategy("srks", epsilon=1e-6))
     assert 0 < mask.sum() < len(mask)
     with pytest.raises(ContractViolation):
@@ -552,8 +544,11 @@ def test_recycler_loop_matches_run_sequence(kind):
     assert manual.iterations() == report.iterations()
     assert manual.n_c_history() == report.n_c_history()
     assert manual.events == report.events
-    assert {event[0] for event in report.events} == (
-        {"swept_resolve", "dropped_column"} if kind.startswith("srks") else set())
+    # srks_cluster re-solves systems 0-2 swept (each reaches n - n_c
+    # iterations), and the basis it keeps has no dependent column
+    assert {event[0] for event in report.events} == {
+        "srks": {"swept_resolve", "dropped_column"},
+        "srks_cluster": {"swept_resolve"}}.get(kind, set())
     np.testing.assert_array_equal(recycler.state.basis, report.final_basis)
 
 
@@ -574,6 +569,44 @@ def test_recycler_failed_solve_reraises_and_records_nothing(rng):
     assert report.aborted and len(report.records) == 1
     assert report.events == [("solve_failed", 1, "(r, z) <= 0: preconditioner or "
                                                  "operator not SPD")]
+
+
+def test_recycler_refuses_to_solve_after_an_abort(monkeypatch, rng):
+    """Records after a failed solve would not match the systems they came from."""
+    A, A_bad = random_spd_matrix(10, rng), random_spd_matrix(10, rng)
+    bad = Preconditioner(inv_diag=-np.ones(10))
+
+    def preconditioner(matrix):
+        return bad if matrix is A_bad else Preconditioner.jacobi(matrix)
+
+    recycler = Recycler(preconditioner, RecycleStrategy("none"),
+                        SolveConfig(tol=1e-8, max_iters=50))
+    with pytest.raises(NumericalFailure):
+        recycler.solve(A_bad, rng.standard_normal(10))
+    builds = []
+    monkeypatch.setattr(recycle, "guarded_deflation", lambda *args: builds.append(args))
+    for _ in range(2):
+        with pytest.raises(ContractViolation, match="aborted"):
+            recycler.solve(A, rng.standard_normal(10))
+    assert builds == [] and recycler.report.records == []
+    assert [event[:2] for event in recycler.report.events] == [("solve_failed", 0)]
+
+
+@pytest.mark.parametrize("seed, kind, epsilon", [(37, "srks", 1e-8),
+                                                 (3, "srks_cluster", 1e-4)])
+def test_srks_unswept_solve_past_the_projected_space_is_resolved(seed, kind, epsilon):
+    """A deflated solve searches range(P), of dimension n - n_c: an unswept
+    one that runs that long keeps Ritz vectors of lost orthogonality.  Kept,
+    these gave 21 columns at n 20 (seed 37, a ContractViolation at the third
+    build) or a later (r, z) <= 0 (seed 3, at system 3)."""
+    rng = np.random.default_rng(seed)
+    A = random_spd_matrix(20, rng, condition=1e3)
+    systems = [(A, rng.standard_normal(20)) for _ in range(4)]
+    report = run_sequence(iter(systems), Preconditioner.jacobi,
+                          RecycleStrategy(kind, epsilon), SolveConfig(tol=1e-10, max_iters=200))
+    assert not report.aborted
+    assert len(report.records) == 4 and all(rec.converged for rec in report.records)
+    assert "swept_resolve" in {event[0] for event in report.events}
 
 
 # ---------------------------------------------------------------------------
