@@ -211,6 +211,11 @@ def run_key(name, preconditioner, tol):
     return f"{name}|{preconditioner}|{tol:g}"
 
 
+def run_tag(name, preconditioner, tol):
+    """The suffix of one run's ``.dat`` curve files."""
+    return f"{name}_{preconditioner}_{tol:g}".replace("-", "m")
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment grid: every (strategy, preconditioner, tolerance)
@@ -254,11 +259,14 @@ class ExperimentConfig:
                                             operator.index, lambda v: v >= 1),
                      output_dir=config_value(path, "output_dir", raw.get("output_dir", "out"),
                                              Path))
-        keys = set()
+        keys, tags = set(), set()
         for name, _, precond, tol in config.runs():
             if (key := run_key(name, precond, tol)) in keys:
                 raise ConfigError(f"{path}: two runs share the key {key!r}")
+            if "/" in (tag := run_tag(name, precond, tol)) or tag in tags:
+                raise ConfigError(f"{path}: the .dat tag {tag!r} of run {key!r} holds '/' or repeats")
             keys.add(key)
+            tags.add(tag)
         if isinstance(problem, MatrixFiles):
             config.problem = read_matrix_files(path, problem)
         return config
@@ -346,7 +354,7 @@ def _write_outputs(results, out_dir):
         for res in results for kind, *values in res.report.events))
 
     for res in results:
-        tag = f"{res.name}_{res.preconditioner}_{res.tol:g}".replace("-", "m")
+        tag = run_tag(res.name, res.preconditioner, res.tol)
         recs = res.report.records
         curves = {
             "iterations_vs_system": [(r.k, r.iterations) for r in recs],
@@ -398,7 +406,7 @@ def _trace_lines(artifact):
         raise ContractViolation("need one finite positive alpha per iteration")
     # the run's own selection, on the values alone: a saved trace does not
     # carry the search directions that Ritz vectors are built from
-    T = lanczos_tridiag(alphas, trace.betas[:m - 1])
+    T = lanczos_tridiag(alphas, trace.betas)
     values = tridiag_eig(T).values
     epsilon = float(artifact.get("epsilon", 1e-6))
     flags = recycle.flag_spectrum(T, values, RecycleStrategy(recycle.SRKS, epsilon))

@@ -57,8 +57,11 @@ class AugmentationState:
 
     def __init__(self, n):
         self._block = np.empty((n, 0), order="F")
-        self.n_c = 0
         self.origin_tags = []
+
+    @property
+    def n_c(self):
+        return len(self.origin_tags)
 
     @property
     def basis(self):
@@ -66,15 +69,16 @@ class AugmentationState:
 
     def append(self, block, tags, divisors):
         """Store the columns of ``block``, column j divided by ``divisors[j]``,
-        after the current ones."""
+        after the current ones, and one origin tag per column."""
         n, k = self._block.shape[0], block.shape[1]
+        if len(tags) != k:
+            raise ContractViolation(f"{len(tags)} origin tags for {k} columns")
         end = self.n_c + k
         if end > self._block.shape[1]:
             grown = np.empty((n, max(end, 2 * self._block.shape[1])), order="F")
             grown[:, :self.n_c] = self.basis
             self._block = grown
         np.divide(block, divisors, out=self._block[:, self.n_c:end])
-        self.n_c = end
         self.origin_tags.extend(tags)
 
     def drop_column(self, index):
@@ -82,7 +86,6 @@ class AugmentationState:
         # the shifted columns into a temporary first
         for j in range(index, self.n_c - 1):
             self._block[:, j] = self._block[:, j + 1]
-        self.n_c -= 1
         del self.origin_tags[index]
 
 

@@ -99,20 +99,18 @@ def lanczos_from_trace(trace: SolveTrace) -> LanczosView:
     if trace.iterations < 1:
         raise ContractViolation("trace has no iterations")
     m = trace.iterations
-    if trace.directions is None or 0 < len(trace.sweeps) < m - 1:
+    if trace.directions is None or len(trace.sweeps) not in (0, m - 1):
         raise ContractViolation("trace has no search directions (SRKS solves store "
                                 "them unswept; only TRKS, which appends them, sweeps)")
-    # a run stopped by the iteration cap has one trailing beta and sweep with
-    # no successor direction; the view only uses the first m - 1
-    betas = np.asarray(trace.betas[:m - 1], dtype=np.float64)
-    T = lanczos_tridiag(trace.alphas[:m], betas)
+    betas = np.asarray(trace.betas, dtype=np.float64)
+    T = lanczos_tridiag(trace.alphas, betas)
     Ut = np.eye(m)  # row j holds column j of U
-    for j, c in enumerate(trace.sweeps[:m - 1], start=1):
+    for j, c in enumerate(trace.sweeps, start=1):
         Ut[j, :j] = c
     Ut[np.arange(1, m), np.arange(m - 1)] -= betas
     signs = (-1.0) ** np.arange(m)
-    scales = signs / np.sqrt(np.asarray(trace.rz_inner[:m], dtype=np.float64))
-    return LanczosView(T, trace.directions[:m], Ut.T * scales)
+    scales = signs / np.sqrt(np.asarray(trace.rz_inner, dtype=np.float64))
+    return LanczosView(T, trace.directions, Ut.T * scales)
 
 
 def ritz_pairs(view: LanczosView, flag) -> RitzSpectrum:

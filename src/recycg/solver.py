@@ -197,8 +197,8 @@ class SolveTrace:
     (TRKS, whose basis they become) fills ``sweeps`` with the coefficients
     c_j of each sweep, w_j = z_j + beta_{j-1} w_{j-1} - c_j @ directions[:j]
     (an unswept SRKS solve, see ``SolveConfig``, leaves it empty: c_j = 0).
-    ``iterations`` is the number of alphas, m; a run stopped by the cap has
-    m betas (and m sweeps), the last for a direction that was never used.
+    ``iterations`` is the number of alphas, m; every trace, converged or
+    stopped by the cap, has m - 1 betas and, when swept, m - 1 sweeps.
     """
 
     alphas: list = field(default_factory=list)
@@ -267,17 +267,10 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
     r = b - A @ x
     r0_norm = float(np.linalg.norm(r))
     trace.residual_norms.append(r0_norm)
-    b_norm = float(np.linalg.norm(b))
-    if r0_norm == 0.0 or r0_norm <= 1e-13 * b_norm:
+    if r0_norm <= 1e-13 * float(np.linalg.norm(b)):
         trace.converged = True
         trace.true_residual_norm = r0_norm
         return x, trace
-
-    z = D.project(M.apply(r))
-    rz = float(r @ z)
-    if rz <= 0.0:
-        raise NumericalFailure("(r, z) <= 0: preconditioner or operator not SPD")
-    w = z.copy()
 
     # direction block, one per row (a contiguous write), and the A-norms of
     # the directions, both grown geometrically; m counts the stored rows
@@ -285,9 +278,27 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
     W, wAws, m = np.empty((64 if keep else 0, A.n)), np.empty(64 if keep else 0), 0
     # the updates below run in place with the operand order of x + alpha w,
     # r - alpha A w and z + beta w, so every bit is that of the allocating form
-    step = np.empty(A.n)
+    w, step = np.empty(A.n), np.empty(A.n)
 
-    for _ in range(cfg.max_iters):
+    for j in range(cfg.max_iters):
+        z = D.project(M.apply(r))
+        rz_next = float(r @ z)
+        if rz_next <= 0.0:
+            raise NumericalFailure("(r, z) <= 0: preconditioner or operator not SPD")
+        if j == 0:
+            w[:] = z
+        else:
+            beta = rz_next / rz
+            trace.betas.append(beta)
+            w *= beta
+            w += z
+            if swept:
+                # A-orthogonal sweep against the stored directions, (A W) w formed
+                # as W (A w) with one SpMV; c recovers z_j (ritz.py)
+                c = (W[:m] @ (A @ w)) / wAws[:m]
+                w -= c @ W[:m]
+                trace.sweeps.append(c)
+        rz = rz_next
         Aw = A @ w
         wAw = float(w @ Aw)
         if wAw <= 0.0:
@@ -316,22 +327,6 @@ def apcg_solve(A: SparseSpdMatrix, M: Preconditioner, D: DeflationOperator,
         if rnorm <= cfg.tol * r0_norm:
             trace.converged = True
             break
-
-        z = D.project(M.apply(r))
-        rz_next = float(r @ z)
-        if rz_next <= 0.0:
-            raise NumericalFailure("(r, z) <= 0: preconditioner or operator not SPD")
-        beta = rz_next / rz
-        trace.betas.append(beta)
-        w *= beta
-        w += z
-        if swept:
-            # A-orthogonal sweep against the stored directions, (A W) w formed
-            # as W (A w) with one SpMV; c recovers z_j (ritz.py)
-            c = (W[:m] @ (A @ w)) / wAws[:m]
-            w -= c @ W[:m]
-            trace.sweeps.append(c)
-        rz = rz_next
 
     if keep:
         trace.directions = W[:m]

@@ -233,8 +233,7 @@ def test_inspect_trace_stopped_by_iteration_cap(tmp_path):
     D = build_deflation(A, np.zeros((40, 0)))
     _, trace = apcg_solve(A, Preconditioner.identity(), D, np.ones(40),
                           SolveConfig(tol=1e-12, max_iters=5))
-    # the capped run keeps a trailing beta with no successor direction
-    assert not trace.converged and len(trace.betas) == trace.iterations == 5
+    assert not trace.converged and len(trace.betas) == trace.iterations - 1 == 4
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(trace.to_json_dict()))
     stream = io.StringIO()
@@ -361,6 +360,11 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     ("[jacobi]", "[jacobi, jacobi]", "two runs share the key 'none|jacobi|1e-06'"),
     ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, 1.0000001e-6]",
      "two runs share the key 'none|jacobi|1e-06'"),
+    # a '-' is written as 'm' in the .dat names, and a '/' would name a directory
+    ("[none, trks]", "[{name: s-1, kind: none}, {name: sm1, kind: trks}]",
+     "the .dat tag 'sm1_jacobi_1em06' of run 'sm1|jacobi|1e-06' holds '/' or repeats"),
+    ("[none, trks]", "[{name: a/b, kind: none}]",
+     "the .dat tag 'a/b_jacobi_1em06' of run 'a/b|jacobi|1e-06' holds '/' or repeats"),
     # an empty list would solve nothing and still exit 0
     ("[none, trks]", "[]", "strategies, preconditioners and tolerances cannot be empty"),
     ("[jacobi]", "[]", "strategies, preconditioners and tolerances cannot be empty"),
@@ -369,7 +373,8 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
 ], ids=["unknown-key", "nc_limit", "min_cluster", "epsilon", "strategy-list",
         "strategies-string", "tolerance", "max_iters-word", "max_iters-float",
         "count", "seed", "seeds-scalar", "preconditioner", "same-inline-name",
-        "same-strategy", "same-preconditioner", "same-printed-tol", "strategies-empty",
+        "same-strategy", "same-preconditioner", "same-printed-tol", "same-dat-tag",
+        "slash-in-name", "strategies-empty",
         "preconditioners-empty", "tolerances-empty"])
 def test_run_config_errors_exit_2(tmp_path, capsys, old, new, message):
     assert old in SMALL_CONFIG

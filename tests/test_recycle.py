@@ -66,6 +66,15 @@ def test_augmentation_state_bookkeeping(rng):
     assert len(state.origin_tags) == 4
 
 
+def test_augmentation_state_wants_one_tag_per_column(rng):
+    """``n_c`` counts the origin tags, so an append with too few is refused."""
+    state = AugmentationState(6)
+    state.append(rng.standard_normal((6, 2)), [("initial", j) for j in range(2)], np.ones(2))
+    with pytest.raises(ContractViolation, match="2 origin tags for 3 columns"):
+        state.append(rng.standard_normal((6, 3)), [("ritz", 0, 1.0)] * 2, np.ones(3))
+    assert state.n_c == len(state.origin_tags) == 2
+
+
 def test_augmentation_block_grows_and_closes_up(rng):
     """Appends past the spare columns and drops at the first, a middle and
     the last column match a column_stack / np.delete reference; the operator
@@ -260,16 +269,15 @@ def test_selection_forms_only_kept_vectors_on_benchmark_trace(kind, store):
 
 @pytest.mark.parametrize("strategy, store", with_stores(STRATEGIES, STRATEGY_IDS))
 def test_selection_forms_only_kept_vectors_on_trace_stopped_by_cap(rng, strategy, store):
-    # the last iteration still computed a beta (and a sweep) for a direction
-    # that was never used; with n_c 5 the z_j are projected
+    # with n_c 5 the z_j are projected
     n = 60
     A = random_spd_matrix(n, rng, condition=1e4)
     solve = reference_solve(A, rng.standard_normal(n), Preconditioner.jacobi(A),
                             rng.standard_normal((n, 5)), store, tol=1e-10, max_iters=25)
     trace = solve[-1]
     assert not trace.converged and trace.iterations == 25
-    assert len(trace.betas) == 25
-    assert len(trace.sweeps) == (25 if store == "swept" else 0)
+    assert len(trace.betas) == 24
+    assert len(trace.sweeps) == (24 if store == "swept" else 0)
     assert assert_same_selection(solve, strategy) > 0
 
 

@@ -1,5 +1,6 @@
 """Deflated CG solver tests: projector contracts, trace contracts,
 equivalence with explicitly projected / split-preconditioned formulations."""
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -58,12 +59,22 @@ def allocating_apcg(A, M, D, b, cfg):
     r = b - A @ x
     r0_norm = float(np.linalg.norm(r))
     trace.residual_norms.append(r0_norm)
-    z = D.project(M.apply(r)).copy()
-    rz = float(r @ z)
-    w = z.copy()
     keep, swept = cfg.store != "none", cfg.store == "swept"
     W, wAws = np.empty((64 if keep else 0, A.n)), []
-    for _ in range(cfg.max_iters):
+    for j in range(cfg.max_iters):
+        z = D.project(M.apply(r)).copy()
+        rz_next = float(r @ z)
+        if j == 0:
+            w = z
+        else:
+            beta = rz_next / rz
+            trace.betas.append(beta)
+            w = z + beta * w
+            if swept:
+                c = (W[:len(wAws)] @ (A @ w)) / np.array(wAws)
+                w -= c @ W[:len(wAws)]
+                trace.sweeps.append(c)
+        rz = rz_next
         Aw = A @ w
         wAw = float(w @ Aw)
         alpha = rz / wAw
@@ -81,16 +92,6 @@ def allocating_apcg(A, M, D, b, cfg):
         if rnorm <= cfg.tol * r0_norm:
             trace.converged = True
             break
-        z = D.project(M.apply(r)).copy()
-        rz_next = float(r @ z)
-        beta = rz_next / rz
-        trace.betas.append(beta)
-        w = z + beta * w
-        if swept:
-            c = (W[:len(wAws)] @ (A @ w)) / np.array(wAws)
-            w -= c @ W[:len(wAws)]
-            trace.sweeps.append(c)
-        rz = rz_next
     if keep:
         trace.directions = W[:len(wAws)]
     return x, trace
@@ -432,6 +433,31 @@ def test_max_iters_reports_nonconvergence(rng):
     assert trace.iterations == 3
 
 
+@pytest.mark.parametrize("store", ["none", "directions", "swept"])
+@pytest.mark.parametrize("n_c", [0, 4])
+def test_capped_solve_forms_nothing_after_the_last_step(rng, monkeypatch, store, n_c):
+    """A solve stopped by the cap applies M and P once per iteration and
+    keeps m - 1 betas and sweeps: no z, beta or sweep follows the last alpha."""
+    calls = {"apply": 0, "project": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def spy(self, x):
+            calls[name] += 1
+            return original(self, x)
+        monkeypatch.setattr(owner, name, spy)
+
+    count(Preconditioner, "apply")
+    count(solver.DeflationOperator, "project")
+    A = random_spd_matrix(40, rng, condition=1e4)
+    _, trace = solve(A, rng.standard_normal(40), C=rng.standard_normal((40, n_c)),
+                     M=Preconditioner.jacobi(A), tol=1e-12, max_iters=7, store=store)
+    assert not trace.converged and trace.iterations == 7
+    assert calls == {"apply": 7, "project": 7}
+    assert len(trace.betas) == 6 and len(trace.sweeps) == 6 * (store == "swept")
+
+
 def test_deflation_operator_of_another_matrix_rejected(rng):
     """A projector built on another matrix, even one of the same size, would
     make the loop and the projection use different operators."""
@@ -487,19 +513,34 @@ def test_orthogonality_across_reorthogonalization_block_growth():
     assert waw.max() <= 1e-8
 
 
-@pytest.mark.parametrize("store", ["none", "directions", "swept"])
-@pytest.mark.parametrize("n_c", [0, 6])
-@pytest.mark.parametrize("precond", ["identity", "jacobi"])
-def test_in_place_loop_bit_identical_to_allocating_loop(store, n_c, precond):
-    # every case takes more than 64 iterations, so the direction block grows
+LOOP_CASES = list(itertools.product(["identity", "jacobi"], [0, 6],
+                                    ["none", "directions", "swept"]))
+
+
+@pytest.mark.parametrize("precond, n_c, store", LOOP_CASES)
+def test_in_place_loop_bit_identical_to_allocating_loop(precond, n_c, store):
+    trace = loops_bit_identical(precond, n_c, store, max_iters=400)
+    assert trace.converged and trace.iterations < 400
+
+
+@pytest.mark.parametrize("precond, n_c, store", LOOP_CASES)
+def test_capped_in_place_loop_bit_identical_to_allocating_loop(precond, n_c, store):
+    trace = loops_bit_identical(precond, n_c, store, max_iters=70)
+    assert not trace.converged and trace.iterations == 70
+
+
+def loops_bit_identical(precond, n_c, store, max_iters):
+    """Asserts that ``apcg_solve`` gives the allocating loop's bits and
+    returns its trace."""
+    # every case takes more than 70 iterations, so the direction block grows
     (A, b), = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1)
     M = Preconditioner.identity() if precond == "identity" else Preconditioner.jacobi(A)
     C = np.random.Generator(np.random.Philox(9)).standard_normal((A.n, n_c))
     D = build_deflation(A, C)
-    cfg = SolveConfig(tol=1e-6, max_iters=400, store=store)
+    cfg = SolveConfig(tol=1e-6, max_iters=max_iters, store=store)
     x_ref, ref = allocating_apcg(A, M, D, b, cfg)
     x, trace = apcg_solve(A, M, D, b, cfg)
-    assert trace.converged and 64 < trace.iterations < cfg.max_iters
+    assert trace.iterations > 64
     assert np.array_equal(x, x_ref)
     for name in ("alphas", "betas", "rz_inner", "residual_norms"):
         assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
@@ -507,6 +548,7 @@ def test_in_place_loop_bit_identical_to_allocating_loop(store, n_c, precond):
     assert all(np.array_equal(c, c_ref) for c, c_ref in zip(trace.sweeps, ref.sweeps))
     if store != "none":
         assert np.array_equal(trace.directions, ref.directions)
+    return trace
 
 
 def test_solve_config_validation():
