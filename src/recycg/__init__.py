@@ -11,8 +11,7 @@ from .ritz import (LanczosView, RatePrediction, RitzSpectrum, cluster_filter,
 from .recycle import (AugmentationState, RecycleStrategy, Recycler,
                       SequenceReport, run_sequence, subspace_overlap,
                       update_basis_srks, update_basis_trks)
-from .problems import (InclusionGridSpec, SpectrumSpec, benchmark_spec,
-                       generate_diffusion_sequence,
+from .problems import (InclusionGridSpec, benchmark_spec, generate_diffusion_sequence,
                        generate_prescribed_spectrum, read_matrix_market,
                        write_matrix_market)
 

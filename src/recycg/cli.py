@@ -333,12 +333,6 @@ def _summaries(results):
     return summary
 
 
-# the fields after the kind of each SequenceReport event tuple
-EVENT_FIELDS = {"dropped_column": ("index", "origin"),
-                "solve_failed": ("system", "message"),
-                "swept_resolve": ("system", "iterations")}
-
-
 def _write_outputs(results, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [CSV_HEADER]
@@ -350,8 +344,8 @@ def _write_outputs(results, out_dir):
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     (out_dir / "events.jsonl").write_text("".join(
-        json.dumps({"run": res.key, "event": kind, **dict(zip(EVENT_FIELDS[kind], values))}) + "\n"
-        for res in results for kind, *values in res.report.events))
+        json.dumps({"run": res.key, "event": kind, **fields}) + "\n"
+        for res in results for kind, fields in res.report.events))
 
     for res in results:
         tag = run_tag(res.name, res.preconditioner, res.tol)

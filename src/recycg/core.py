@@ -94,18 +94,13 @@ class SparseSpdMatrix:
         object.__setattr__(self, "_csr", csr)
 
     @classmethod
-    def from_dense(cls, dense, keep_zeros=False):
-        """Build from a dense symmetric array, optionally keeping the full pattern."""
+    def from_dense(cls, dense):
+        """Build from a dense array, symmetrized; explicit zeros are not stored."""
         dense = np.asarray(dense, dtype=np.float64)
         n = dense.shape[0]
         if dense.shape != (n, n):
             raise ContractViolation("dense input must be square")
-        sym = 0.5 * (dense + dense.T)
-        if keep_zeros:
-            ro = np.arange(n + 1) * n
-            ci = np.tile(np.arange(n), n)
-            return cls(n, ro, ci, sym.ravel())
-        return cls.from_scipy(sym)
+        return cls.from_scipy(0.5 * (dense + dense.T))
 
     @classmethod
     def from_scipy(cls, mat):

@@ -48,12 +48,18 @@ class InclusionGridSpec:
             object.__setattr__(self, "inclusion_layout",
                                tuple(tuple(tuple(map(operator.index, rng)) for rng in block)
                                      for block in self.inclusion_layout))
+            object.__setattr__(self, "seed", operator.index(self.seed))
         except TypeError as exc:
-            raise ContractViolation(f"grid and block bounds must be integers ({exc})") from None
+            raise ContractViolation(f"grid, bounds and seed must be integers ({exc})") from None
         inc = self.inclusion_coeff_mean
         if np.ndim(inc) == 0:
             inc = (inc,) * len(self.inclusion_layout)
-        inc = tuple(float(v) for v in inc)
+        try:
+            inc = tuple(float(v) for v in inc)
+            object.__setattr__(self, "matrix_coeff_mean", float(self.matrix_coeff_mean))
+            object.__setattr__(self, "rel_std", float(self.rel_std))
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"means and rel_std must be numbers ({exc})") from None
         if len(inc) != len(self.inclusion_layout):
             raise ContractViolation("need one inclusion mean per inclusion block")
         object.__setattr__(self, "inclusion_coeff_mean", inc)
@@ -65,9 +71,13 @@ class InclusionGridSpec:
             raise ContractViolation("coefficient means must be positive and finite")
         if not 0 <= self.rel_std < np.inf:
             raise ContractViolation("rel_std must be nonnegative and finite")
+        if self.seed < 0:
+            raise ContractViolation("seed must be nonnegative")
         for block in self.inclusion_layout:
             if len(block) != len(grid):
                 raise ContractViolation("inclusion block rank must match grid rank")
+            if any(len(rng) != 2 for rng in block):
+                raise ContractViolation("inclusion block ranges must be (lo, hi) pairs")
             for (lo, hi), g in zip(block, grid):
                 if not 0 <= lo < hi <= g:
                     raise ContractViolation("inclusion block out of grid bounds")
@@ -182,31 +192,18 @@ def generate_diffusion_sequence(spec: InclusionGridSpec, count):
         yield SparseSpdMatrix(spec.n, row_offsets, col_indices, values), b.copy()
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Operator with an exactly prescribed spectrum in a random orthogonal basis."""
-
-    eigenvalues: tuple
-    seed: int = 0
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", vals)
-        if len(vals) == 0 or any(v <= 0.0 for v in vals):
-            raise ContractViolation("eigenvalues must be positive")
-
-
-def generate_prescribed_spectrum(spec: SpectrumSpec) -> SparseSpdMatrix:
-    """A = Q diag(eigenvalues) Q^T with a seeded random orthogonal Q."""
-    lam = np.asarray(spec.eigenvalues, dtype=np.float64)
+def generate_prescribed_spectrum(eigenvalues, seed=0) -> SparseSpdMatrix:
+    """A = Q diag(eigenvalues) Q^T with a seeded random orthogonal Q: a dense
+    oracle with an exactly known spectrum, so n is limited to 500."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    if lam.ndim != 1 or len(lam) == 0 or not np.all(lam > 0.0):
+        raise ContractViolation("eigenvalues must be a nonempty list of positive values")
     n = len(lam)
     if n > 500:
         raise ContractViolation("dense-pattern generation limited to n <= 500")
-    rng = np.random.Generator(np.random.Philox(spec.seed))
+    rng = np.random.Generator(np.random.Philox(seed))
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    A = (Q * lam) @ Q.T
-    A = 0.5 * (A + A.T)
-    return SparseSpdMatrix.from_dense(A, keep_zeros=True)
+    return SparseSpdMatrix.from_dense((Q * lam) @ Q.T)
 
 
 class MatrixMarketError(ValueError):

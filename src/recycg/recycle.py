@@ -108,7 +108,11 @@ class SystemRecord:
 
 @dataclass
 class SequenceReport:
-    """Per-system statistics for a whole multiresolution run."""
+    """Per-system statistics for a whole multiresolution run.
+
+    ``events`` holds ``(kind, fields)`` pairs in the order they happened;
+    ``fields`` is the dict of named values built where this module logs the
+    event, so a new kind needs no schema elsewhere."""
 
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
@@ -130,7 +134,7 @@ def guarded_deflation(A: SparseSpdMatrix, state: AugmentationState, events):
         except RankDeficient as exc:
             tag = state.origin_tags[exc.column]
             state.drop_column(exc.column)
-            events.append(("dropped_column", exc.column, tag))
+            events.append(("dropped_column", {"index": exc.column, "origin": tag}))
 
 
 def update_basis_trks(state: AugmentationState, trace: SolveTrace, system_index=0):
@@ -207,10 +211,11 @@ class Recycler:
             x, trace = apcg_solve(A, M, D, b, self.cfg)
             # the solve searches range(P), of dimension n - n_c
             if self.cfg.store == "directions" and trace.iterations >= A.n - D.n_c:
-                report.events.append(("swept_resolve", k, trace.iterations))
+                report.events.append(
+                    ("swept_resolve", {"system": k, "iterations": trace.iterations}))
                 x, trace = apcg_solve(A, M, D, b, replace(self.cfg, store="swept"))
         except NumericalFailure as exc:
-            report.events.append(("solve_failed", k, str(exc)))
+            report.events.append(("solve_failed", {"system": k, "message": str(exc)}))
             report.aborted = True
             raise
         solve_seconds = perf_counter() - t0

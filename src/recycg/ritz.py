@@ -99,9 +99,12 @@ def lanczos_from_trace(trace: SolveTrace) -> LanczosView:
     if trace.iterations < 1:
         raise ContractViolation("trace has no iterations")
     m = trace.iterations
-    if trace.directions is None or len(trace.sweeps) not in (0, m - 1):
+    if trace.directions is None:
         raise ContractViolation("trace has no search directions (SRKS solves store "
                                 "them unswept; only TRKS, which appends them, sweeps)")
+    if len(trace.sweeps) not in (0, m - 1):
+        raise ContractViolation(f"trace has {len(trace.sweeps)} sweeps for {m} iterations "
+                                f"(an unswept trace has none, a swept one {m - 1})")
     betas = np.asarray(trace.betas, dtype=np.float64)
     T = lanczos_tridiag(trace.alphas, betas)
     Ut = np.eye(m)  # row j holds column j of U

@@ -16,6 +16,7 @@ orthogonality only by repeating converged Ritz values (see SolveConfig).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -182,6 +183,10 @@ class SolveConfig:
             raise ContractViolation(f"unknown direction store {self.store!r}")
         if not 0.0 < self.tol < 1.0:
             raise ContractViolation("tol must be in (0, 1)")
+        try:
+            self.max_iters = operator.index(self.max_iters)
+        except TypeError as exc:
+            raise ContractViolation(f"max_iters must be an integer ({exc})") from None
         if self.max_iters < 1:
             raise ContractViolation("max_iters must be >= 1")
 

@@ -21,8 +21,7 @@ def random_spd(n, rng, condition=100.0):
 
 def random_spd_matrix(n, rng, condition=100.0):
     """SparseSpdMatrix wrapper around :func:`random_spd`."""
-    return SparseSpdMatrix.from_dense(random_spd(n, rng, condition),
-                                      keep_zeros=True)
+    return SparseSpdMatrix.from_dense(random_spd(n, rng, condition))
 
 
 def residual_history(A, b, x0, trace):

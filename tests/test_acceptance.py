@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from recycg import (Preconditioner, RecycleStrategy, SolveConfig,
-                    SparseSpdMatrix, SpectrumSpec, apcg_solve,
+                    SparseSpdMatrix, apcg_solve,
                     build_deflation, dense_sym_eig,
                     generate_diffusion_sequence, generate_prescribed_spectrum,
                     lanczos_from_trace, predict_iterations, run_sequence,
@@ -54,7 +54,7 @@ def test_criterion_1_orthogonality(capsys):
         lam = np.geomspace(1.0, rng.uniform(10.0, 50.0), n)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         G = (Q * lam) @ Q.T
-        A = SparseSpdMatrix.from_dense(0.5 * (G + G.T), keep_zeros=True)
+        A = SparseSpdMatrix.from_dense(0.5 * (G + G.T))
         b = rng.standard_normal(n)
         _, trace = plain_solve(A, b, tol=1e-6, max_iters=60,
                                store="swept")
@@ -88,7 +88,7 @@ def test_criterion_2_deflation_exactness(capsys):
     to that of plain CG on the remaining spectrum (within one iteration)."""
     n = 100
     lam = np.geomspace(0.01, 100.0, n)
-    A = generate_prescribed_spectrum(SpectrumSpec(tuple(lam), seed=21))
+    A = generate_prescribed_spectrum(lam, seed=21)
     eig = dense_sym_eig(A.to_dense())  # descending
     vectors = eig.vectors[:, ::-1]     # ascending to match lam
     rng = np.random.Generator(np.random.Philox(7))
@@ -115,7 +115,7 @@ def test_criterion_3_projected_equivalence(capsys):
         lam = np.geomspace(1.0, 200.0, n)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         G = (Q * lam) @ Q.T
-        A = SparseSpdMatrix.from_dense(0.5 * (G + G.T), keep_zeros=True)
+        A = SparseSpdMatrix.from_dense(0.5 * (G + G.T))
         C = rng.standard_normal((n, n_c))
         b = rng.standard_normal(n)
         D = build_deflation(A, C)
@@ -146,8 +146,7 @@ def test_criterion_3_projected_equivalence(capsys):
         diag = rng.uniform(0.5, 4.0, n)
         M = Preconditioner.user_diagonal(diag)
         L = np.sqrt(diag)
-        A_hat = SparseSpdMatrix.from_dense(A.to_dense() / np.outer(L, L),
-                                           keep_zeros=True)
+        A_hat = SparseSpdMatrix.from_dense(A.to_dense() / np.outer(L, L))
         D1 = build_deflation(A, C)
         cfg = SolveConfig(tol=1e-15, max_iters=steps, store="none")
         _, t1 = apcg_solve(A, M, D1, b, cfg)
@@ -165,7 +164,7 @@ def test_criterion_4_ritz_fidelity(capsys):
     claim); interlacing holds at every intermediate step."""
     n = 200
     lam = np.geomspace(1.0, 100.0, n)
-    A = generate_prescribed_spectrum(SpectrumSpec(tuple(lam), seed=13))
+    A = generate_prescribed_spectrum(lam, seed=13)
     rng = np.random.Generator(np.random.Philox(5))
     b = rng.standard_normal(n)
     _, trace = plain_solve(A, b, tol=1e-13, max_iters=n,
@@ -275,8 +274,7 @@ def test_criterion_7_selection_and_coarse_identity(capsys):
     for _ in range(5):
         n = 30
         lam = np.geomspace(1.0, 1e3, n)
-        A = generate_prescribed_spectrum(
-            SpectrumSpec(tuple(lam), seed=int(rng.integers(1000))))
+        A = generate_prescribed_spectrum(lam, seed=int(rng.integers(1000)))
         _, trace = plain_solve(A, rng.standard_normal(n), tol=1e-12,
                                max_iters=200)
         tight = select_spectrum(trace, RecycleStrategy("srks", epsilon=1e-14))

@@ -562,9 +562,12 @@ def test_shipped_configs_parse(tmp_path, name):
 
 
 def test_run_writes_events(tmp_path, monkeypatch):
+    """Each event's fields are named where it is logged, so a kind the CLI
+    has never seen is written as it is."""
     import recycg.cli
-    events = [("dropped_column", 2, ("direction", 0, 5)),
-              ("solve_failed", 1, "residual norm is not finite")]
+    events = [("dropped_column", {"index": 2, "origin": ("direction", 0, 5)}),
+              ("borderline_selection", {"system": 3, "count": 2}),
+              ("solve_failed", {"system": 1, "message": "residual norm is not finite"})]
     monkeypatch.setattr(recycg.cli, "run_sequence",
                         lambda *args: SequenceReport(events=list(events), aborted=True))
     out = tmp_path / "out"
@@ -574,6 +577,7 @@ def test_run_writes_events(tmp_path, monkeypatch):
     assert [json.loads(line) for line in lines] == [
         {"run": "trks|jacobi|1e-06", "event": "dropped_column", "index": 2,
          "origin": ["direction", 0, 5]},
+        {"run": "trks|jacobi|1e-06", "event": "borderline_selection", "system": 3, "count": 2},
         {"run": "trks|jacobi|1e-06", "event": "solve_failed", "system": 1,
          "message": "residual norm is not finite"},
     ]

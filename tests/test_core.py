@@ -27,11 +27,6 @@ def test_from_dense_round_trip():
     np.testing.assert_array_equal(A.diagonal(), [2.0, 2.0, 2.0])
 
 
-def test_keep_zeros_stores_full_pattern():
-    A = SparseSpdMatrix.from_dense(np.eye(3), keep_zeros=True)
-    assert A.nnz == 9
-
-
 def test_rejects_nonsquare():
     with pytest.raises(ContractViolation):
         SparseSpdMatrix.from_dense(np.ones((2, 3)))
@@ -120,7 +115,7 @@ def test_spmv_dimension_mismatch():
 
 
 def test_spmv_symmetry_bilinear(rng):
-    A = SparseSpdMatrix.from_dense(random_spd(20, rng), keep_zeros=True)
+    A = SparseSpdMatrix.from_dense(random_spd(20, rng))
     x, y = rng.standard_normal(20), rng.standard_normal(20)
     assert (A @ x) @ y == pytest.approx((A @ y) @ x, rel=1e-12)
 

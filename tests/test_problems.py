@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from recycg import (ContractViolation, InclusionGridSpec, SparseSpdMatrix,
-                    SpectrumSpec, dense_sym_eig, generate_diffusion_sequence,
+                    dense_sym_eig, generate_diffusion_sequence,
                     generate_prescribed_spectrum, read_matrix_market,
                     write_matrix_market)
 from recycg import problems
@@ -57,11 +57,18 @@ def test_spec_rejects_nonpositive_means():
     {"rel_std": float("inf")},
     {"grid": (4.7, 4)},
     {"inclusion_layout": (((0, 2.5), (0, 2)),)},
+    {"inclusion_layout": (((0, 2, 3), (0, 2)),)},
+    {"inclusion_layout": (((0, 2), (0, 2)),), "inclusion_coeff_mean": "stiff"},
+    {"matrix_coeff_mean": None},
+    {"rel_std": [0.1]},
+    {"seed": -1},
 ], ids=["matrix-mean-inf", "inclusion-mean-inf", "one-inclusion-mean-inf", "rel_std-inf",
-        "grid-float", "block-bound-float"])
+        "grid-float", "block-bound-float", "block-range-not-a-pair", "inclusion-mean-text",
+        "matrix-mean-none", "rel_std-list", "seed-negative"])
 def test_spec_rejects_non_finite_and_non_integer_input(kwargs):
-    """An infinite mean would make the positive redraw loop forever, and a
-    fractional size or bound would be truncated."""
+    """An infinite mean would make the positive redraw loop forever, a
+    fractional size or bound would be truncated, and the other inputs would
+    fail later with a raw error (a negative seed at the first system)."""
     with pytest.raises(ContractViolation):
         InclusionGridSpec(**{"grid": (4, 4), **kwargs})
 
@@ -267,32 +274,28 @@ def test_count_validation():
 
 
 def test_prescribed_identity_spectrum():
-    A = generate_prescribed_spectrum(SpectrumSpec((1.0, 1.0, 1.0)))
+    A = generate_prescribed_spectrum((1.0, 1.0, 1.0))
     np.testing.assert_allclose(A.to_dense(), np.eye(3), atol=1e-12)
 
 
 def test_prescribed_spectrum_round_trip():
-    A = generate_prescribed_spectrum(SpectrumSpec((1.0, 2.0, 3.0, 4.0, 5.0),
-                                                  seed=11))
+    A = generate_prescribed_spectrum((1.0, 2.0, 3.0, 4.0, 5.0), seed=11)
     values = np.sort(dense_sym_eig(A.to_dense()).values)
     np.testing.assert_allclose(values, [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-10)
 
 
 def test_prescribed_spectrum_seed_freedom():
-    spec_a = SpectrumSpec((1.0, 4.0, 9.0), seed=0)
-    spec_b = SpectrumSpec((1.0, 4.0, 9.0), seed=1)
-    A = generate_prescribed_spectrum(spec_a)
-    B = generate_prescribed_spectrum(spec_b)
+    A = generate_prescribed_spectrum((1.0, 4.0, 9.0), seed=0)
+    B = generate_prescribed_spectrum((1.0, 4.0, 9.0), seed=1)
     assert not np.allclose(A.to_dense(), B.to_dense())
     np.testing.assert_allclose(np.sort(dense_sym_eig(B.to_dense()).values),
                                [1.0, 4.0, 9.0], atol=1e-10)
 
 
 def test_prescribed_spectrum_validation():
-    with pytest.raises(ContractViolation):
-        SpectrumSpec((1.0, -2.0))
-    with pytest.raises(ContractViolation):
-        generate_prescribed_spectrum(SpectrumSpec(tuple(np.ones(501))))
+    for eigenvalues in ((1.0, -2.0), (), np.ones(501)):
+        with pytest.raises(ContractViolation):
+            generate_prescribed_spectrum(eigenvalues)
 
 
 # ---------------------------------------------------------------------------

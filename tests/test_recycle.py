@@ -129,7 +129,7 @@ def test_guarded_deflation_drops_dependent_column_of_large_basis(rng):
     state.append(C, tags, np.ones(40))
     events = []
     D = guarded_deflation(A, state, events)
-    assert events == [("dropped_column", 25, ("direction", 0, 25))]
+    assert events == [("dropped_column", {"index": 25, "origin": ("direction", 0, 25)})]
     assert D.n_c == 39
     np.testing.assert_array_equal(state.basis, np.delete(C, 25, axis=1))
     assert state.origin_tags == tags[:25] + tags[26:]
@@ -141,7 +141,8 @@ def test_guarded_deflation_all_columns_dependent(rng):
     state.append(np.zeros((8, 3)), [("initial", j) for j in range(3)], np.ones(3))
     events = []
     D = guarded_deflation(A, state, events)
-    assert events == [("dropped_column", 0, ("initial", j)) for j in range(3)]
+    assert events == [("dropped_column", {"index": 0, "origin": ("initial", j)})
+                      for j in range(3)]
     assert state.n_c == D.n_c == 0
     x = rng.standard_normal(8)
     np.testing.assert_array_equal(D.project(x), x)
@@ -575,8 +576,8 @@ def test_recycler_failed_solve_reraises_and_records_nothing(rng):
         recycler.solve(A_bad, rng.standard_normal(10))
     report = recycler.report
     assert report.aborted and len(report.records) == 1
-    assert report.events == [("solve_failed", 1, "(r, z) <= 0: preconditioner or "
-                                                 "operator not SPD")]
+    message = "(r, z) <= 0: preconditioner or operator not SPD"
+    assert report.events == [("solve_failed", {"system": 1, "message": message})]
 
 
 def test_recycler_refuses_to_solve_after_an_abort(monkeypatch, rng):
@@ -597,7 +598,8 @@ def test_recycler_refuses_to_solve_after_an_abort(monkeypatch, rng):
         with pytest.raises(ContractViolation, match="aborted"):
             recycler.solve(A, rng.standard_normal(10))
     assert builds == [] and recycler.report.records == []
-    assert [event[:2] for event in recycler.report.events] == [("solve_failed", 0)]
+    assert [(kind, fields["system"]) for kind, fields in recycler.report.events] == [
+        ("solve_failed", 0)]
 
 
 @pytest.mark.parametrize("seed, kind, epsilon", [(37, "srks", 1e-8),

@@ -49,6 +49,15 @@ def test_lanczos_from_trace_requires_history(rng):
         lanczos_from_trace(trace)
 
 
+def test_lanczos_from_trace_refuses_a_sweep_count_other_than_none_or_m_minus_1(rng):
+    A = random_spd_matrix(10, rng)
+    _, trace = plain_solve(A, rng.standard_normal(10), max_iters=6)
+    assert trace.iterations == 6 and len(trace.sweeps) == 5
+    trace.sweeps.append(np.zeros(6))
+    with pytest.raises(ContractViolation, match="6 sweeps for 6 iterations"):
+        lanczos_from_trace(trace)
+
+
 def test_two_point_spectrum_recovered_exactly():
     A = SparseSpdMatrix.from_dense(np.diag([1.0, 4.0]))
     _, trace = plain_solve(A, np.array([1.0, 1.0]))

@@ -462,7 +462,7 @@ def test_deflation_operator_of_another_matrix_rejected(rng):
     """A projector built on another matrix, even one of the same size, would
     make the loop and the projection use different operators."""
     A = random_spd_matrix(30, rng)
-    other = SparseSpdMatrix.from_dense(A.to_dense() + 30.0 * np.eye(30), keep_zeros=True)
+    other = SparseSpdMatrix.from_dense(A.to_dense() + 30.0 * np.eye(30))
     D = build_deflation(other, rng.standard_normal((30, 4)))
     with pytest.raises(ContractViolation, match="another matrix"):
         apcg_solve(A, Preconditioner.identity(), D, rng.standard_normal(30),
@@ -491,7 +491,7 @@ def test_orthogonality_across_reorthogonalization_block_growth():
     rng = np.random.Generator(np.random.Philox(5))
     n = 300
     G = random_spd(n, rng, condition=1e4)
-    A = SparseSpdMatrix.from_dense(G, keep_zeros=True)
+    A = SparseSpdMatrix.from_dense(G)
     b = rng.standard_normal(n)
     _, trace = solve(A, b, tol=1e-3, max_iters=n, store="swept")
     m = trace.iterations
@@ -558,6 +558,11 @@ def test_solve_config_validation():
         SolveConfig(tol=2.0)
     with pytest.raises(ContractViolation):
         SolveConfig(max_iters=0)
+    # a fractional or text cap would fail only inside the solve
+    for max_iters in (2.5, "10"):
+        with pytest.raises(ContractViolation, match="max_iters must be an integer"):
+            SolveConfig(max_iters=max_iters)
+    assert SolveConfig(max_iters=np.int64(10)).max_iters == 10
     with pytest.raises(ContractViolation, match="unknown direction store"):
         SolveConfig(store="sweep")
 
@@ -626,8 +631,7 @@ def test_split_preconditioner_equivalence(rng):
     M = Preconditioner.user_diagonal(diag)
 
     L = np.sqrt(diag)
-    A_hat = SparseSpdMatrix.from_dense(A.to_dense() / np.outer(L, L),
-                                       keep_zeros=True)
+    A_hat = SparseSpdMatrix.from_dense(A.to_dense() / np.outer(L, L))
     steps = 12  # fixed window; late iterations of a full run are noise-driven
     _, t1 = solve(A, b, C=C, M=M, tol=1e-15, max_iters=steps,
                   store="none")
