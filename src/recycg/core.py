@@ -29,6 +29,9 @@ RANK_GUARD_RTOL = 1e-12
 # (weak reference to the matrix applied to a vector last, its DIA operator or
 # None for CSR): one matrix's diagonals at a time, freed with the matrix
 _dia_slot = (None, None)
+# the _Pattern of the matrix constructed or applied last: the matrices of a
+# sequence share one pattern, which is checked and laid out once
+_pattern_slot = None
 
 
 class ContractViolation(ValueError):
@@ -55,7 +58,9 @@ class SparseSpdMatrix:
     with equal values, strictly positive diagonal present in every row,
     nondecreasing row offsets, and column indices in range and strictly
     increasing within each row.  The index arrays are stored in scipy's
-    index dtype and shared with the CSR operator.
+    index dtype and shared with the CSR operator.  The pattern checks run
+    once per pattern: a matrix whose index arrays hold the same numbers as
+    the last checked pattern's has only its values checked.
     """
 
     n: int
@@ -68,26 +73,18 @@ class SparseSpdMatrix:
         ro = np.asarray(self.row_offsets)
         ci = np.asarray(self.col_indices)
         va = np.asarray(self.values, dtype=np.float64)
-        if len(ro) != self.n + 1 or ro[0] != 0 or ro[-1] != len(ci) or len(ci) != len(va):
+        if len(ci) != len(va):
             raise ContractViolation("inconsistent CSR arrays")
-        if np.any(np.diff(ro) < 0):
-            raise ContractViolation("row_offsets must be nondecreasing")
-        # scipy's C kernels below index with these without bounds checks
-        if len(ci) and (ci.min() < 0 or ci.max() >= self.n):
-            raise ContractViolation("col_indices out of range")
+        pattern = _pattern(self.n, ro, ci, va)
         if not np.all(np.isfinite(va)):
             raise ContractViolation("matrix values must be finite")
-        # no copy of index arrays already in scipy's index dtype; the checks
-        # below allocate no pattern-sized temporaries besides the transpose
-        csr = scipy.sparse.csr_matrix((va, ci, ro), shape=(self.n, self.n))
-        if not csr.has_canonical_format:
-            raise ContractViolation("col_indices must be sorted within each row")
-        if np.any(csr.diagonal() <= 0.0):
+        if np.any(va[pattern.diag] <= 0.0):
             raise ContractViolation("all diagonal entries must be present and positive")
-        t = csr.T.tocsr()
-        if not (np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)
-                and np.array_equal(t.data, csr.data)):
+        if not np.array_equal(va[pattern.perm], va):
             raise ContractViolation("matrix is not symmetric (pattern or values)")
+        # no copy of index arrays already in scipy's index dtype
+        csr = scipy.sparse.csr_matrix((va, ci, ro), shape=(self.n, self.n))
+        csr.has_canonical_format = True
         object.__setattr__(self, "row_offsets", csr.indptr)
         object.__setattr__(self, "col_indices", csr.indices)
         object.__setattr__(self, "values", csr.data)
@@ -156,18 +153,90 @@ def _release_dia(ref):
 def _banded(A):
     """A in DIA form, or None when its diagonals hold more than
     ``DIA_MAX_FILL`` slots per stored entry."""
-    n = A.n
-    rows = np.repeat(np.arange(n, dtype=A.col_indices.dtype), np.diff(A.row_offsets))
-    shifted = A.col_indices - rows + n  # offset j - i of each entry, plus n
+    pattern = _pattern(A.n, A.row_offsets, A.col_indices, A.values)
+    if pattern.slots is None:
+        return None
+    data = np.zeros(len(pattern.offsets) * A.n)
+    data[pattern.slots] = A.values
+    return scipy.sparse.dia_matrix((data.reshape(len(pattern.offsets), A.n), pattern.offsets),
+                                   shape=(A.n, A.n))
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """A checked CSR pattern and what its matrices' checks and DIA form read.
+
+    ``row_offsets`` and ``col_indices`` are the pattern's own read-only
+    copies, so an array changed in place after the check no longer matches.
+    ``perm[k]`` is the position of entry (j, i) for the entry (i, j) at k,
+    and ``diag[i]`` the position of entry (i, i).  ``offsets`` are the
+    diagonals j - i the pattern occupies, and ``slots[k]`` is entry k's
+    index in the flattened scipy DIA data, where ``data[d, j]`` holds
+    ``A[j - offsets[d], j]``; both are None when the diagonals hold more
+    than ``DIA_MAX_FILL`` slots per stored entry.
+    """
+
+    n: int
+    row_offsets: np.ndarray
+    col_indices: np.ndarray
+    perm: np.ndarray
+    diag: np.ndarray
+    offsets: np.ndarray | None
+    slots: np.ndarray | None
+
+
+def _pattern(n, ro, ci, va):
+    """The _Pattern of ``(n, ro, ci)``: the slot's when its arrays hold the
+    same numbers, else checked and laid out here and kept in the slot."""
+    global _pattern_slot
+    p = _pattern_slot
+    if p is None or p.n != n or not (np.array_equal(p.row_offsets, ro)
+                                     and np.array_equal(p.col_indices, ci)):
+        p = _pattern_slot = _check_pattern(n, ro, ci, va)
+    return p
+
+
+def _check_pattern(n, ro, ci, va):
+    """Check the pattern ``(n, ro, ci)`` and lay it out.
+
+    The value checks on ``va`` that precede a pattern check in the order
+    of messages run before it, so a matrix with several faults reports the
+    same one whether or not its pattern was checked before.
+    """
+    if len(ro) != n + 1 or ro[0] != 0 or ro[-1] != len(ci):
+        raise ContractViolation("inconsistent CSR arrays")
+    if np.any(ro[1:] < ro[:-1]):
+        raise ContractViolation("row_offsets must be nondecreasing")
+    # scipy's C kernels index with these without bounds checks
+    if len(ci) and (ci.min() < 0 or ci.max() >= n):
+        raise ContractViolation("col_indices out of range")
+    if not np.all(np.isfinite(va)):
+        raise ContractViolation("matrix values must be finite")
+    # integer copies, as scipy casts index arrays of another type
+    row_nnz, cols = np.diff(ro.astype(np.intp)), ci.astype(np.intp)
+    rows = np.repeat(np.arange(n), row_nnz)
+    if np.any((cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1])):
+        raise ContractViolation("col_indices must be sorted within each row")
+    diag = np.flatnonzero(rows == cols)
+    if len(diag) != n or np.any(va[diag] <= 0.0):
+        raise ContractViolation("all diagonal entries must be present and positive")
+    # the entries in column order are the transpose's in CSR order
+    perm = np.argsort(cols, kind="stable")
+    if not (np.array_equal(np.bincount(cols, minlength=n), row_nnz)
+            and np.array_equal(rows[perm], cols)):
+        raise ContractViolation("matrix is not symmetric (pattern or values)")
+    shifted = cols - rows + n  # offset j - i of each entry, plus n
     present = np.bincount(shifted, minlength=2 * n + 1) > 0
     kept = np.flatnonzero(present) - n
-    if len(kept) * n > DIA_MAX_FILL * A.nnz:
-        return None
-    # scipy's DIA layout: data[d, j] holds A[j - kept[d], j]; the running
-    # count of present offsets numbers each entry's diagonal
-    data = np.zeros(len(kept) * n)
-    data[(np.cumsum(present) - 1)[shifted] * n + A.col_indices] = A.values
-    return scipy.sparse.dia_matrix((data.reshape(len(kept), n), kept), shape=(n, n))
+    offsets = slots = None
+    if len(kept) * n <= DIA_MAX_FILL * len(ci):
+        # the running count of present offsets numbers each entry's diagonal
+        offsets, slots = kept, (np.cumsum(present) - 1)[shifted] * n + cols
+    ro, ci = ro.copy(), ci.copy()
+    for a in (ro, ci, perm, diag, offsets, slots):
+        if a is not None:
+            a.flags.writeable = False
+    return _Pattern(n, ro, ci, perm, diag, offsets, slots)
 
 
 @dataclass(frozen=True)

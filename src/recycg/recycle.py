@@ -11,6 +11,7 @@ grows; a coarse-Cholesky rank guard drops the columns that become dependent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -40,7 +41,8 @@ class RecycleStrategy:
     def __post_init__(self):
         if self.kind not in (NONE, TRKS, SRKS, SRKS_CLUSTER):
             raise ContractViolation(f"unknown strategy kind {self.kind!r}")
-        if self.kind in (SRKS, SRKS_CLUSTER) and not 0.0 < self.epsilon < math.inf:
+        if self.kind in (SRKS, SRKS_CLUSTER) and not (
+                isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < math.inf):
             raise ContractViolation("epsilon must be positive and finite for SRKS kinds")
 
 

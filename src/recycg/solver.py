@@ -16,6 +16,7 @@ orthogonality only by repeating converged Ritz values (see SolveConfig).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from collections import deque
@@ -181,7 +182,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.store not in ("none", "directions", "swept"):
             raise ContractViolation(f"unknown direction store {self.store!r}")
-        if not 0.0 < self.tol < 1.0:
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0):
             raise ContractViolation("tol must be in (0, 1)")
         try:
             self.max_iters = operator.index(self.max_iters)

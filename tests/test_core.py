@@ -1,4 +1,6 @@
 """Dense/sparse kernel tests: CSR container, Cholesky, eigensolvers."""
+import hashlib
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -175,6 +177,133 @@ def test_banded_kernel_holds_one_matrix_diagonals():
     del systems[:], A
     assert ref() is None
     assert core._dia_slot == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# shared CSR patterns
+
+
+def tridiagonal_pattern(n):
+    """Writable (row_offsets, col_indices, values) of a 1-D Laplacian."""
+    A = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    return A.indptr.copy(), A.indices.copy(), A.data.copy()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "matrix values must be finite"),
+    ("inf", "matrix values must be finite"),
+    ("diagonal", "all diagonal entries must be present and positive"),
+    ("asymmetric", "matrix is not symmetric (pattern or values)"),
+])
+def test_cached_pattern_still_checks_values(fault, message, monkeypatch):
+    ro, ci, va = tridiagonal_pattern(5)
+    SparseSpdMatrix(5, ro, ci, va)
+
+    def missed(*args):
+        raise AssertionError("the pattern was checked again")
+
+    monkeypatch.setattr(core, "_check_pattern", missed)
+    bad = va.copy()
+    if fault == "nan":
+        bad[3] = np.nan
+    elif fault == "inf":
+        bad[0] = -np.inf
+    elif fault == "diagonal":
+        bad[ro[2] + 1] = 0.0  # entry (2, 2)
+    else:
+        bad[1] = -0.5  # (0, 1) != (1, 0)
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        SparseSpdMatrix(5, ro, ci, bad)
+    SparseSpdMatrix(5, ro, ci, va)  # a hit, since the slot kept the pattern
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_first_fault_reported_with_or_without_cached_pattern(cached, monkeypatch):
+    ro, ci, va = tridiagonal_pattern(4)
+    nan_values = va.copy()
+    nan_values[-1] = np.nan
+    negative_diagonal = -va
+    if cached:
+        SparseSpdMatrix(4, ro, ci, va)
+    else:
+        monkeypatch.setattr(core, "_pattern_slot", None)
+    with pytest.raises(ContractViolation, match="finite"):
+        SparseSpdMatrix(4, ro, ci, nan_values)
+    with pytest.raises(ContractViolation, match="diagonal"):
+        SparseSpdMatrix(4, ro, ci, negative_diagonal)
+    # an unsorted or asymmetric pattern with bad values reports the values
+    swapped = ci.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    with pytest.raises(ContractViolation, match="finite"):
+        SparseSpdMatrix(4, ro, swapped, nan_values)
+    one_sided = ci.copy()
+    one_sided[1] = 2  # (0, 2) without (2, 0)
+    with pytest.raises(ContractViolation, match="diagonal"):
+        SparseSpdMatrix(4, ro, one_sided, negative_diagonal)
+
+
+def test_pattern_changed_in_place_is_checked_again(monkeypatch):
+    ro, ci, va = tridiagonal_pattern(4)
+    monkeypatch.setattr(core, "_pattern_slot", None)
+    SparseSpdMatrix(4, ro, ci, va)  # checks these very arrays
+    ci[1] = 2  # row 0 now holds (0, 2), and row 2 has no (2, 0)
+    with pytest.raises(ContractViolation, match="symmetric"):
+        SparseSpdMatrix(4, ro, ci, va)
+    ci[1] = 1
+    ro[1] = 1  # row 0 keeps only its diagonal, row 1 gains (0, 1)'s slot
+    with pytest.raises(ContractViolation):
+        SparseSpdMatrix(4, ro, ci, va)
+
+
+def reference_banded(A):
+    """A's DIA form built from its own arrays: the reference for the cached layout."""
+    n = A.n
+    rows = np.repeat(np.arange(n, dtype=A.col_indices.dtype), np.diff(A.row_offsets))
+    shifted = A.col_indices - rows + n
+    present = np.bincount(shifted, minlength=2 * n + 1) > 0
+    kept = np.flatnonzero(present) - n
+    if len(kept) * n > core.DIA_MAX_FILL * A.nnz:
+        return None
+    data = np.zeros(len(kept) * n)
+    data[(np.cumsum(present) - 1)[shifted] * n + A.col_indices] = A.values
+    return scipy.sparse.dia_matrix((data.reshape(len(kept), n), kept), shape=(n, n))
+
+
+def test_dia_form_bit_identical_to_reference(rng):
+    grids = [(50,), (16, 12), (6, 5, 7), (64, 64)]
+    sequences = [list(generate_diffusion_sequence(
+        InclusionGridSpec(grid=grid, inclusion_layout=(tuple((1, 3) for _ in grid),),
+                          rel_std=0.3, seed=3), 2)) for grid in grids]
+    S = scipy.sparse.random(40, 40, density=0.1, random_state=5, format="csr")
+    unbanded = SparseSpdMatrix.from_scipy(S + S.T + scipy.sparse.identity(40) * 40)
+    # matrices of different patterns in turn: each SpMV finds another slot
+    for A in [A for pair in zip(*sequences) for A, _ in pair] + [unbanded]:
+        dia, ref = core._banded(A), reference_banded(A)
+        if ref is None:
+            assert dia is None and core._dia_operator(A) is None
+            continue
+        assert np.array_equal(dia.offsets, ref.offsets)
+        assert dia.data.dtype == ref.data.dtype and np.array_equal(dia.data, ref.data)
+        x = rng.standard_normal(A.n)
+        assert np.array_equal(A @ x, ref @ x)
+
+
+# col_indices and values of benchmark_spec(seed=0)'s 40 matrices, in order
+BENCHMARK_MATRIX_DIGEST = "1d92845cbc1d0149c2a350eaa804d4d52d245b8e1ce885965b9362ee5482fa5a"
+
+
+def test_benchmark_matrices_keep_their_bits():
+    systems = [A for A, _ in generate_diffusion_sequence(benchmark_spec(seed=0), 40)]
+    digest = hashlib.sha256()
+    for A in systems:
+        assert A.col_indices.dtype == np.int32 and A.values.dtype == np.float64
+        digest.update(A.col_indices.tobytes())
+        digest.update(A.values.tobytes())
+    assert digest.hexdigest() == BENCHMARK_MATRIX_DIGEST
+    # the matrices hold the generator's shared pattern, not copies of it
+    assert all(np.shares_memory(A.col_indices, systems[0].col_indices) for A in systems)
+    assert not any(np.shares_memory(A.col_indices, core._pattern_slot.col_indices)
+                   for A in systems)
 
 
 # ---------------------------------------------------------------------------

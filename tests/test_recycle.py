@@ -54,6 +54,13 @@ def test_srks_strategy_rejects_a_non_finite_epsilon(kind, epsilon):
         RecycleStrategy(kind, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
+@pytest.mark.parametrize("epsilon", ["1e-6", None])
+def test_srks_strategy_rejects_a_non_numeric_epsilon(kind, epsilon):
+    with pytest.raises(ContractViolation, match="epsilon"):
+        RecycleStrategy(kind, epsilon=epsilon)
+
+
 def test_augmentation_state_bookkeeping(rng):
     state = AugmentationState(6)
     assert state.n_c == 0

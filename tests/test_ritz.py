@@ -11,7 +11,7 @@ from recycg import (ContractViolation, NumericalFailure, Preconditioner,
                     SolveConfig, SparseSpdMatrix, apcg_solve,
                     build_deflation, cluster_filter, dense_sym_eig,
                     instantaneous_rate, lanczos_from_trace, lanczos_tridiag,
-                    predict_iterations, ritz_pairs, select_converged,
+                    predict_iterations, ritz, ritz_pairs, select_converged,
                     tridiag_eig)
 from conftest import random_spd_matrix
 
@@ -347,6 +347,59 @@ def test_cluster_filter_matches_loop_at_ritz_size(rng):
     values = np.sort(np.concatenate([rng.uniform(1.0, 2.0, 290),
                                      rng.uniform(10.0, 50.0, 10)]))[::-1]
     assert cluster_filter(values, 60) == loop_cluster_filter(values, 60)
+
+
+def rowwise_cluster_filter(values, min_cluster):
+    """The filter vectorized over b only, one lexsort per cluster start a."""
+    values = np.asarray(values, dtype=np.float64)
+    m = len(values)
+    if m < min_cluster or m < 2:
+        return list(range(m))
+    gaps = np.abs(np.diff(values))
+    ng = len(gaps)
+    prefix = np.concatenate([[0.0], np.cumsum(gaps)])
+    prefix2 = np.concatenate([[0.0], np.cumsum(gaps ** 2)])
+
+    def sse(i, j):
+        s, s2 = prefix[j] - prefix[i], prefix2[j] - prefix2[i]
+        return s2 - s * s / np.maximum(j - i, 1)
+
+    best = None
+    min_len = min_cluster - 1
+    for a in range(ng - min_len + 1):
+        b = np.arange(a + min_len, ng + 1)
+        err = sse(0, a) + sse(a, b) + sse(b, ng)
+        size = b - a
+        mean = (prefix[b] - prefix[a]) / np.maximum(size, 1)
+        i = np.lexsort((mean, -size, err))[0]
+        key = (err[i], -size[i], mean[i], a)
+        if best is None or key < best[0]:
+            best = (key, a, int(b[i]))
+    _, a, b = best
+    return [i for i in range(m) if i < a or i > b]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 300])
+@pytest.mark.parametrize("m", [2, 9, 61, 240])
+def test_cluster_filter_blocks_match_rowwise_filter(m, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(ritz, "CLUSTER_BLOCK", block)
+    rng = np.random.default_rng(m)
+    spectra = [
+        np.sort(rng.uniform(1.0, 2.0, m))[::-1],
+        # a few distinct values: repeated gaps and zero gaps tie many splits
+        np.sort(rng.choice([0.5, 1.0, 2.0, 2.5, 4.0], m))[::-1],
+        np.sort(np.concatenate([rng.uniform(1.0, 1.1, m - m // 4),
+                                rng.integers(5, 9, m // 4).astype(float)]))[::-1],
+        np.full(m, 3.0),
+        # gaps of 2 then of 1: clusters on either half fit exactly, and
+        # their equal sizes leave the tie to the mean gap
+        np.cumsum([0.0] + [2.0] * ((m - 1) // 2) + [1.0] * (m // 2)),
+    ]
+    for values in spectra:
+        for min_cluster in sorted({1, 2, m // 3 + 1, m - 1, m}):
+            assert cluster_filter(values, min_cluster) == \
+                rowwise_cluster_filter(values, min_cluster), (min_cluster, values)
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,12 @@ def test_solve_config_validation():
         with pytest.raises(ContractViolation, match="max_iters must be an integer"):
             SolveConfig(max_iters=max_iters)
     assert SolveConfig(max_iters=np.int64(10)).max_iters == 10
+
+
+@pytest.mark.parametrize("tol", ["1e-6", None, [1e-6]])
+def test_solve_config_rejects_a_non_numeric_tol(tol):
+    with pytest.raises(ContractViolation, match="tol"):
+        SolveConfig(tol=tol)
     with pytest.raises(ContractViolation, match="unknown direction store"):
         SolveConfig(store="sweep")
 
