@@ -2,12 +2,12 @@
 
 from .core import (ContractViolation, EigDecomposition, NumericalFailure,
                    RankDeficient, SparseSpdMatrix, TridiagSym, dense_cholesky,
-                   dense_sym_eig, tridiag_eig)
+                   tridiag_eig)
 from .solver import (DeflationOperator, Preconditioner, SolveConfig,
                      SolveTrace, apcg_solve, build_deflation)
 from .ritz import (LanczosView, RatePrediction, RitzSpectrum, cluster_filter,
-                   instantaneous_rate, lanczos_from_trace, lanczos_tridiag,
-                   predict_iterations, ritz_pairs, select_converged)
+                   lanczos_from_trace, lanczos_tridiag, predict_iterations,
+                   ritz_pairs, select_converged)
 from .recycle import (AugmentationState, RecycleStrategy, Recycler,
                       SequenceReport, run_sequence, subspace_overlap,
                       update_basis_srks, update_basis_trks)

@@ -77,10 +77,11 @@ def load_yaml_mapping(path, what):
 
 
 def config_value(path, key, value, convert, valid=lambda v: True):
-    """``convert(value)``; a value that ``convert`` rejects or whose result
-    fails ``valid`` raises a one-line ConfigError."""
+    """``convert(value)``; a boolean, a value that ``convert`` rejects or
+    whose result fails ``valid`` raises a one-line ConfigError."""
     try:
-        if valid(out := convert(value)):
+        # YAML reads yes and true as True, which Python would count as 1
+        if not isinstance(value, bool) and valid(out := convert(value)):
             return out
     except (TypeError, ValueError):
         pass
@@ -124,11 +125,6 @@ class MatrixFiles:
     matrices: tuple
 
 
-def _inclusion_block(block):
-    """One inclusion block: a ``[lo, hi]`` pair of integers per axis."""
-    return tuple((operator.index(lo), operator.index(hi)) for lo, hi in block)
-
-
 def problem_spec_from_dict(problem, path="config"):
     """The sequence a ``problem`` mapping names: an InclusionGridSpec for the
     ``diffusion`` and ``benchmark`` kinds, MatrixFiles for ``files``.  A key
@@ -145,32 +141,18 @@ def problem_spec_from_dict(problem, path="config"):
         if kind == "files":
             return MatrixFiles(config_value(path, "rhs", problem["rhs"], Path),
                                tuple(config_list(path, "matrices", problem["matrices"], Path)))
-        seed = config_value(path, "seed", problem.get("seed", 0), operator.index,
-                            lambda v: v >= 0)
+        # the spec converts and checks its own values and holds their defaults
+        values = {key: problem[key]
+                  for key in problem.keys() - {"kind", "grid", "inclusions_per_axis"}}
         if kind == "benchmark":
-            return benchmark_spec(seed=seed)
-        grid = tuple(config_list(path, "grid", problem["grid"], operator.index))
+            return benchmark_spec(**values)
         if "inclusion_layout" in problem and "inclusions_per_axis" in problem:
             raise ConfigError(f"{path}: set inclusion_layout or inclusions_per_axis, not both")
-        if "inclusion_layout" in problem:
-            layout = config_list(path, "inclusion_layout", problem["inclusion_layout"],
-                                 _inclusion_block)
-        else:
-            per_axis = config_value(path, "inclusions_per_axis",
-                                    problem.get("inclusions_per_axis", 0), operator.index,
-                                    lambda v: v >= 0)
-            layout = regular_inclusion_layout(grid, per_axis) if per_axis else ()
-        return InclusionGridSpec(
-            grid=grid,
-            inclusion_layout=layout,
-            matrix_coeff_mean=config_value(path, "matrix_coeff_mean",
-                                           problem.get("matrix_coeff_mean", 1.0), float),
-            # one mean for every block or a list of one mean per block
-            inclusion_coeff_mean=config_value(
-                path, "inclusion_coeff_mean", problem.get("inclusion_coeff_mean", 100.0),
-                lambda v: np.array(v, dtype=np.float64), lambda a: a.ndim <= 1),
-            rel_std=config_value(path, "rel_std", problem.get("rel_std", 0.10), float),
-            seed=seed)
+        per_axis = config_value(path, "inclusions_per_axis", problem.get("inclusions_per_axis", 0),
+                                operator.index, lambda v: v >= 0)
+        if per_axis:
+            values["inclusion_layout"] = regular_inclusion_layout(problem["grid"], per_axis)
+        return InclusionGridSpec(grid=problem["grid"], **values)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing config key 'problem.{exc.args[0]}'") from exc
     except ContractViolation as exc:

@@ -4,8 +4,8 @@ Shared dense and sparse linear-algebra kernels.
 Everything else in the package is built on the few primitives defined here:
 a CSR container for symmetric positive definite operators (applied with
 ``A @ x``, to a vector in diagonal form when the matrix is banded), a LAPACK
-dense Cholesky with explicit rank reporting, and symmetric eigensolvers
-(tridiagonal and full) that return sorted, orthonormal decompositions.
+dense Cholesky with explicit rank reporting, and a symmetric tridiagonal
+eigensolver that returns sorted, orthonormal decompositions.
 """
 from __future__ import annotations
 
@@ -94,8 +94,7 @@ class SparseSpdMatrix:
     def from_dense(cls, dense):
         """Build from a dense array, symmetrized; explicit zeros are not stored."""
         dense = np.asarray(dense, dtype=np.float64)
-        n = dense.shape[0]
-        if dense.shape != (n, n):
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ContractViolation("dense input must be square")
         return cls.from_scipy(0.5 * (dense + dense.T))
 
@@ -280,34 +279,15 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
-def _as_descending(values, vectors):
-    order = np.argsort(values)[::-1]
-    return EigDecomposition(np.ascontiguousarray(values[order]),
-                            np.ascontiguousarray(vectors[:, order]))
-
-
 def tridiag_eig(T: TridiagSym) -> EigDecomposition:
     """Full eigendecomposition of a symmetric tridiagonal matrix."""
     try:
         values, vectors = scipy.linalg.eigh_tridiagonal(T.diag, T.offdiag)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
         raise NumericalFailure(str(exc)) from exc
-    return _as_descending(values, vectors)
-
-
-def dense_sym_eig(G) -> EigDecomposition:
-    """Full eigendecomposition of a dense symmetric matrix (brute-force oracle)."""
-    G = np.asarray(G, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ContractViolation("input must be square")
-    scale = np.linalg.norm(G)
-    if scale > 0 and np.linalg.norm(G - G.T) > 1e-12 * scale:
-        raise ContractViolation("input is not symmetric")
-    try:
-        values, vectors = np.linalg.eigh(0.5 * (G + G.T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(str(exc)) from exc
-    return _as_descending(values, vectors)
+    order = np.argsort(values)[::-1]
+    return EigDecomposition(np.ascontiguousarray(values[order]),
+                            np.ascontiguousarray(vectors[:, order]))
 
 
 def dense_cholesky(G):

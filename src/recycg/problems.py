@@ -21,6 +21,33 @@ import scipy.sparse
 from .core import ContractViolation, SparseSpdMatrix
 
 
+def _number(convert):
+    """``convert`` that refuses a boolean, which Python would read as 0 or 1."""
+    def checked(value):
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError("a boolean is not a number")
+        return convert(value)
+    return checked
+
+
+_integer, _real = _number(operator.index), _number(float)
+
+
+def _integers(values):
+    return tuple(map(_integer, values))
+
+
+def _field(name, value, convert, valid=lambda v: True):
+    """``convert(value)``; a value that ``convert`` rejects or whose result
+    fails ``valid`` raises a ContractViolation naming the field and value."""
+    try:
+        if valid(out := convert(value)):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ContractViolation(f"bad {name} value {value!r}")
+
+
 @dataclass(frozen=True)
 class InclusionGridSpec:
     """Randomized diffusion sequence on a regular grid with inclusions.
@@ -33,6 +60,12 @@ class InclusionGridSpec:
     inclusions or as a per-inclusion sequence, and is stored as one float per
     inclusion block; spreading the means apart separates the low outliers of
     the preconditioned spectrum, which is what makes selective recycling bite.
+
+    Each field is converted and checked here; a bad one raises a
+    ContractViolation naming it and its value.  The grid has 1 to 3
+    nonempty axes and at least 2 cells, the seed is >= 0, the means are
+    positive and finite, ``rel_std`` is nonnegative and finite, and a
+    boolean is not a number.
     """
 
     grid: tuple
@@ -43,41 +76,26 @@ class InclusionGridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "grid", grid := tuple(map(operator.index, self.grid)))
-            object.__setattr__(self, "inclusion_layout",
-                               tuple(tuple(tuple(map(operator.index, rng)) for rng in block)
-                                     for block in self.inclusion_layout))
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError as exc:
-            raise ContractViolation(f"grid, bounds and seed must be integers ({exc})") from None
-        inc = self.inclusion_coeff_mean
-        if np.ndim(inc) == 0:
-            inc = (inc,) * len(self.inclusion_layout)
-        try:
-            inc = tuple(float(v) for v in inc)
-            object.__setattr__(self, "matrix_coeff_mean", float(self.matrix_coeff_mean))
-            object.__setattr__(self, "rel_std", float(self.rel_std))
-        except (TypeError, ValueError) as exc:
-            raise ContractViolation(f"means and rel_std must be numbers ({exc})") from None
-        if len(inc) != len(self.inclusion_layout):
-            raise ContractViolation("need one inclusion mean per inclusion block")
-        object.__setattr__(self, "inclusion_coeff_mean", inc)
-        if len(grid) not in (1, 2, 3) or any(g < 1 for g in grid) or \
-                max(grid) < 2:
-            raise ContractViolation("grid must be a 1/2/3-D lattice with >= 2 cells")
+        def put(name, convert, valid=lambda v: True):
+            value = _field(name, getattr(self, name), convert, valid)
+            object.__setattr__(self, name, value)
+            return value
+
+        grid = put("grid", _integers, lambda g: 0 < len(g) <= 3 and min(g) >= 1 and max(g) >= 2)
+        layout = put("inclusion_layout", lambda v: tuple(
+            tuple((_integer(lo), _integer(hi)) for lo, hi in block) for block in v))
         # an infinite mean would make the positive redraw loop forever
-        if not all(0 < m < np.inf for m in (self.matrix_coeff_mean, *inc)):
-            raise ContractViolation("coefficient means must be positive and finite")
-        if not 0 <= self.rel_std < np.inf:
-            raise ContractViolation("rel_std must be nonnegative and finite")
-        if self.seed < 0:
-            raise ContractViolation("seed must be nonnegative")
-        for block in self.inclusion_layout:
+        put("matrix_coeff_mean", _real, lambda m: 0 < m < np.inf)
+        means = put("inclusion_coeff_mean",
+                    lambda v: tuple(map(_real, v)) if np.ndim(v) else (_real(v),) * len(layout),
+                    lambda v: all(0 < m < np.inf for m in v))
+        put("rel_std", _real, lambda s: 0 <= s < np.inf)
+        put("seed", _integer, lambda s: s >= 0)
+        if len(means) != len(layout):
+            raise ContractViolation("need one inclusion mean per inclusion block")
+        for block in layout:
             if len(block) != len(grid):
                 raise ContractViolation("inclusion block rank must match grid rank")
-            if any(len(rng) != 2 for rng in block):
-                raise ContractViolation("inclusion block ranges must be (lo, hi) pairs")
             for (lo, hi), g in zip(block, grid):
                 if not 0 <= lo < hi <= g:
                     raise ContractViolation("inclusion block out of grid bounds")
@@ -89,6 +107,7 @@ class InclusionGridSpec:
 
 def regular_inclusion_layout(grid, per_axis):
     """A regular ``per_axis x per_axis (x per_axis)`` arrangement of blocks half a cell wide."""
+    grid = _field("grid", grid, _integers)
     spans = []
     for g in grid:
         cell = g / per_axis
@@ -102,9 +121,8 @@ def benchmark_spec(seed=0, grid=(64, 64)):
     """The standard benchmark problem: a 64x64 grid with a 4x4 arrangement of
     inclusions whose stiffness means are geometrically spread from 10 to 1000."""
     layout = regular_inclusion_layout(grid, 4)
-    means = np.logspace(1.0, 3.0, len(layout))
-    return InclusionGridSpec(grid=tuple(grid), inclusion_layout=layout,
-                             inclusion_coeff_mean=tuple(means),
+    return InclusionGridSpec(grid=grid, inclusion_layout=layout,
+                             inclusion_coeff_mean=np.logspace(1.0, 3.0, len(layout)),
                              rel_std=0.10, seed=seed)
 
 

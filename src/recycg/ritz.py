@@ -261,47 +261,3 @@ def predict_iterations(spectrum, eps_cg, p=0) -> RatePrediction:
     n_isolated = 2 * p + count(kappa_mid, extra)
     return RatePrediction(n_classical, n_isolated, sigma_full)
 
-
-def instantaneous_rate(spectrum, ritz_values, l, r):
-    """One-step A-norm error contraction bound at the current iteration.
-
-    ``ritz_values`` are the Ritz values available at iteration ``i`` (any
-    order; sorted internally), ``l`` and ``r`` count converged Ritz values
-    at the low and high ends of the spectrum.  Returns the bound factor
-    F * 2 * sigma of the deflated rate; degenerate Ritz/eigenvalue
-    coincidences in a denominator yield +inf for this (l, r) pair.
-    """
-    lam = np.sort(np.asarray(spectrum, dtype=np.float64))
-    theta = np.sort(np.asarray(ritz_values, dtype=np.float64))
-    n = len(lam)
-    i = len(theta)
-    if l < 0 or r < 0 or l + r > i:
-        raise ContractViolation("need l + r <= number of Ritz values")
-    if l + r >= n:
-        raise ContractViolation("need l + r < spectrum size")
-
-    def j_factor(lam_lp):
-        prod = 1.0
-        for j in range(l):
-            denom = abs(1.0 - lam_lp / theta[j])
-            if denom == 0.0:
-                return math.inf
-            prod *= abs(1.0 - lam_lp / lam[j]) / denom
-        return prod
-
-    def l_factor(lam_nrp):
-        prod = 1.0
-        for j in range(1, r + 1):
-            denom = abs(1.0 - lam_nrp / theta[i - j])
-            if denom == 0.0:
-                return math.inf
-            prod *= abs(1.0 - lam_nrp / lam[n - j]) / denom
-        return prod
-
-    f_low = max((j_factor(lam[lp]) for lp in range(l, n)), default=1.0) if l else 1.0
-    f_high = max((l_factor(lam[n - 1 - rp]) for rp in range(r, n)), default=1.0) if r else 1.0
-    F = f_low * f_high
-    if not math.isfinite(F):
-        return math.inf
-    kappa = lam[n - 1 - r] / lam[l]
-    return F * 2.0 * (_sigma(kappa) if kappa > 1.0 else 0.0)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from recycg import (Preconditioner, SolveConfig, SparseSpdMatrix, apcg_solve,
-                    benchmark_spec, build_deflation, generate_diffusion_sequence)
+from recycg import (EigDecomposition, Preconditioner, SolveConfig, SparseSpdMatrix,
+                    apcg_solve, benchmark_spec, build_deflation,
+                    generate_diffusion_sequence)
 
 # the property tests draw the same examples on every run, so a failure
 # reproduces and the suite does not flake
@@ -22,6 +23,15 @@ def random_spd(n, rng, condition=100.0):
 def random_spd_matrix(n, rng, condition=100.0):
     """SparseSpdMatrix wrapper around :func:`random_spd`."""
     return SparseSpdMatrix.from_dense(random_spd(n, rng, condition))
+
+
+def dense_sym_eig(G):
+    """The brute-force oracle: the eigendecomposition of a dense symmetric
+    matrix (symmetrized first) by ``numpy.linalg.eigh``, sorted descending."""
+    G = np.asarray(G, dtype=np.float64)
+    values, vectors = np.linalg.eigh(0.5 * (G + G.T))
+    order = np.argsort(values)[::-1]
+    return EigDecomposition(values[order], vectors[:, order])
 
 
 def residual_history(A, b, x0, trace):

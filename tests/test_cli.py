@@ -349,6 +349,9 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, tight]", "bad tolerances value 'tight'"),
     ("max_iters: 500", "max_iters: lots", "bad max_iters value 'lots'"),
     ("max_iters: 500", "max_iters: 2.5", "bad max_iters value 2.5"),
+    # YAML reads yes and true as booleans, which Python would count as 1
+    ("max_iters: 500", "max_iters: yes", "bad max_iters value True"),
+    ("[none, trks]", "[{kind: srks, epsilon: yes}]", "bad epsilon value True"),
     ("count: 2", "count: 0", "bad count value 0"),
     ("count: 2", "count: 2\nseeds: [0, one]", "unknown config keys ['seeds']"),
     ("count: 2", "count: 2\nseeds: 3", "unknown config keys ['seeds']"),
@@ -372,9 +375,9 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
      "strategies, preconditioners and tolerances cannot be empty"),
 ], ids=["unknown-key", "nc_limit", "min_cluster", "epsilon", "strategy-list",
         "strategies-string", "tolerance", "max_iters-word", "max_iters-float",
-        "count", "seed", "seeds-scalar", "preconditioner", "same-inline-name",
-        "same-strategy", "same-preconditioner", "same-printed-tol", "same-dat-tag",
-        "slash-in-name", "strategies-empty",
+        "max_iters-bool", "epsilon-bool", "count", "seed", "seeds-scalar", "preconditioner",
+        "same-inline-name", "same-strategy", "same-preconditioner", "same-printed-tol",
+        "same-dat-tag", "slash-in-name", "strategies-empty",
         "preconditioners-empty", "tolerances-empty"])
 def test_run_config_errors_exit_2(tmp_path, capsys, old, new, message):
     assert old in SMALL_CONFIG
@@ -469,10 +472,14 @@ PROBLEM_ERRORS = [
     ("seed: 0\n", "sed: 4\n", "unknown diffusion problem keys ['sed']"),
     ("seed: 0\n", "seed: abc\n", "bad seed value 'abc'"),
     ("seed: 0\n", "seed: -1\n", "bad seed value -1"),
-    ("grid: [8, 8]", "grid: 5", "grid must be a list"),
-    ("grid: [8, 8]", "grid: [8, eight]", "bad grid value 'eight'"),
+    ("seed: 0\n", "seed: true\n", "bad seed value True"),
+    ("grid: [8, 8]", "grid: 5", "bad grid value 5"),
+    ("grid: [8, 8]", "grid: [8, eight]", "bad grid value [8, 'eight']"),
+    # the regular layout reads the grid before the spec checks it
+    ("grid: [8, 8]\n  inclusion_layout: [[[2, 6], [2, 6]]]",
+     "grid: [8, eight]\n  inclusions_per_axis: 2", "bad grid value [8, 'eight']"),
     ("  grid: [8, 8]\n", "", "missing config key 'problem.grid'"),
-    ("[[[2, 6], [2, 6]]]", "[[2, 6]]", "bad inclusion_layout value [2, 6]"),
+    ("[[[2, 6], [2, 6]]]", "[[2, 6]]", "bad inclusion_layout value [[2, 6]]"),
     ("[[[2, 6], [2, 6]]]", "[[[2, 6], [2, 9]]]", "inclusion block out of grid bounds"),
     ("inclusion_coeff_mean: 100.0", "inclusion_coeff_mean: [10.0, 20.0]",
      "need one inclusion mean per inclusion block"),
@@ -482,15 +489,17 @@ PROBLEM_ERRORS = [
     ("inclusion_coeff_mean: 100.0", "inclusions_per_axis: 2",
      "set inclusion_layout or inclusions_per_axis, not both"),
     ("seed: 0\n", "seed: 0\n  count: 2\n", "unknown diffusion problem keys ['count']"),
-    ("seed: 0\n", "seed: 0\n  rel_std: -0.5\n", "rel_std must be nonnegative"),
+    ("seed: 0\n", "seed: 0\n  rel_std: -0.5\n", "bad rel_std value -0.5"),
     ("max_iters: 500", "max_iter: 500", "unknown config keys ['max_iter']"),
     ("count: 2", "count: two", "bad count value 'two'"),
+    ("count: 2", "count: true", "bad count value True"),
 ]
 PROBLEM_ERROR_IDS = [
     "problem-scalar", "kind-typo", "benchmark-grid", "seed-typo", "seed-word", "seed-negative",
-    "grid-scalar", "grid-word", "grid-missing", "layout-block", "layout-bounds",
-    "means-count", "means-word", "inclusions", "layout-and-per-axis",
-    "count-in-problem", "rel_std", "max_iters-typo", "count-word"]
+    "seed-bool", "grid-scalar", "grid-word", "per-axis-grid-word", "grid-missing",
+    "layout-block", "layout-bounds", "means-count", "means-word", "inclusions",
+    "layout-and-per-axis", "count-in-problem", "rel_std", "max_iters-typo", "count-word",
+    "count-bool"]
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])

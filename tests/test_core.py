@@ -11,9 +11,9 @@ import scipy.sparse
 
 from recycg import (ContractViolation, EigDecomposition, InclusionGridSpec,
                     RankDeficient, SparseSpdMatrix, TridiagSym, benchmark_spec,
-                    core, dense_cholesky, dense_sym_eig,
-                    generate_diffusion_sequence, tridiag_eig)
-from conftest import random_spd
+                    core, dense_cholesky, generate_diffusion_sequence,
+                    tridiag_eig)
+from conftest import dense_sym_eig, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +30,9 @@ def test_from_dense_round_trip():
 
 
 def test_rejects_nonsquare():
-    with pytest.raises(ContractViolation):
-        SparseSpdMatrix.from_dense(np.ones((2, 3)))
+    for dense in (np.ones((2, 3)), np.ones(3), np.float64(2.0)):
+        with pytest.raises(ContractViolation, match="dense input must be square"):
+            SparseSpdMatrix.from_dense(dense)
 
 
 def test_rejects_missing_diagonal():
@@ -440,20 +441,6 @@ def test_tridiag_eig_laplacian_closed_form():
                       reverse=True)
     np.testing.assert_allclose(eig.values, expected, rtol=1e-12)
     _check_decomposition(eig, T.to_dense())
-
-
-def test_dense_sym_eig_examples():
-    np.testing.assert_allclose(dense_sym_eig(np.eye(3)).values, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(dense_sym_eig([[2.0, 1.0], [1.0, 2.0]]).values,
-                               [3.0, 1.0])
-    eig = dense_sym_eig(np.diag([9.0, 4.0, 1.0]))
-    np.testing.assert_allclose(eig.values, [9.0, 4.0, 1.0])
-    np.testing.assert_allclose(np.abs(eig.vectors), np.eye(3), atol=1e-14)
-
-
-def test_dense_sym_eig_rejects_asymmetric():
-    with pytest.raises(ContractViolation):
-        dense_sym_eig([[1.0, 2.0], [0.0, 1.0]])
 
 
 def test_solvers_agree_on_tridiagonal(rng):

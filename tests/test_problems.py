@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from recycg import (ContractViolation, InclusionGridSpec, SparseSpdMatrix,
-                    dense_sym_eig, generate_diffusion_sequence,
-                    generate_prescribed_spectrum, read_matrix_market,
-                    write_matrix_market)
+                    generate_diffusion_sequence, generate_prescribed_spectrum,
+                    read_matrix_market, write_matrix_market)
 from recycg import problems
 from recycg.problems import (MatrixMarketError, benchmark_spec,
                              regular_inclusion_layout)
+from conftest import dense_sym_eig
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from recycg import (ContractViolation, NumericalFailure, Preconditioner,
                     SolveConfig, SparseSpdMatrix, apcg_solve,
-                    build_deflation, cluster_filter, dense_sym_eig,
-                    instantaneous_rate, lanczos_from_trace, lanczos_tridiag,
-                    predict_iterations, ritz, ritz_pairs, select_converged,
-                    tridiag_eig)
-from conftest import random_spd_matrix
+                    build_deflation, cluster_filter, lanczos_from_trace,
+                    lanczos_tridiag, predict_iterations, ritz, ritz_pairs,
+                    select_converged, tridiag_eig)
+from conftest import dense_sym_eig, random_spd_matrix
 
 
 def plain_solve(A, b, tol=1e-12, max_iters=500):
@@ -457,62 +456,3 @@ def test_observed_iterations_below_classical_bound(rng):
     err = x - x_true
     e0 = math.sqrt(x_true @ (lam * x_true))
     assert math.sqrt(err @ (lam * err)) <= 1e-6 * e0
-
-
-# ---------------------------------------------------------------------------
-# instantaneous rate
-
-
-def test_instantaneous_rate_trivial_case():
-    lam = [1.0, 2.0, 4.0]
-    bound = instantaneous_rate(lam, [1.5], l=0, r=0)
-    kappa = 4.0
-    sigma = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    assert bound == pytest.approx(2.0 * sigma)
-
-
-def test_instantaneous_rate_degenerate_is_inf():
-    lam = [1.0, 2.0, 4.0]
-    # theta coincides with an interior eigenvalue used in a denominator
-    assert instantaneous_rate(lam, [2.0], l=1, r=0) == math.inf
-
-
-def test_instantaneous_rate_converged_extremes_deflate():
-    lam = list(np.concatenate([[0.01], np.linspace(1.0, 2.0, 10), [50.0]]))
-    # exact extreme Ritz values: deflated rate with a finite factor
-    bound = instantaneous_rate(lam, [0.01, 1.4, 50.0], l=1, r=1)
-    kappa = 2.0 / 1.0
-    sigma = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    assert math.isfinite(bound)
-    assert bound >= 2.0 * sigma * 0.99
-
-
-def test_instantaneous_rate_validation():
-    with pytest.raises(ContractViolation):
-        instantaneous_rate([1.0, 2.0], [1.5], l=1, r=1)
-    with pytest.raises(ContractViolation):
-        instantaneous_rate([1.0, 2.0], [1.0, 1.5, 2.0], l=2, r=1)
-
-
-def test_instantaneous_rate_bounds_observed_contraction(rng):
-    lam = np.arange(1.0, 21.0)
-    A = SparseSpdMatrix.from_dense(np.diag(lam))
-    x_true = rng.standard_normal(20)
-    b = lam * x_true
-    D = build_deflation(A, np.zeros((20, 0)))
-    cfg = SolveConfig(tol=1e-12, max_iters=40)
-    _, trace = apcg_solve(A, Preconditioner.identity(), D, b, cfg)
-    view = lanczos_from_trace(trace)
-
-    # reconstruct the error history from the stored directions
-    xs = [np.zeros(20)]
-    for alpha, w in zip(trace.alphas, trace.directions):
-        xs.append(xs[-1] + alpha * w)
-    errs = [math.sqrt((x - x_true) @ (lam * (x - x_true))) for x in xs]
-
-    for i in range(3, min(10, view.m)):
-        theta = tridiag_eig(view.tridiag.truncated(i)).values
-        best = min(instantaneous_rate(lam, theta, l, r)
-                   for l in range(3) for r in range(3) if l + r <= i)
-        observed = errs[i + 1] / errs[i]
-        assert observed <= best * (1.0 + 1e-8)

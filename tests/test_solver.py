@@ -17,10 +17,10 @@ import scipy.sparse
 
 from recycg import (ContractViolation, NumericalFailure, Preconditioner,
                     RankDeficient, SolveConfig, SolveTrace, SparseSpdMatrix,
-                    apcg_solve, benchmark_spec, build_deflation, dense_sym_eig,
+                    apcg_solve, benchmark_spec, build_deflation,
                     generate_diffusion_sequence, solver)
-from conftest import (preconditioned_residuals, random_spd, random_spd_matrix,
-                      residual_history)
+from conftest import (dense_sym_eig, preconditioned_residuals, random_spd,
+                      random_spd_matrix, residual_history)
 
 
 def reference_cg(A, b, tol=1e-10, max_iters=500):
