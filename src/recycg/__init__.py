@@ -12,8 +12,7 @@ from .recycle import (AugmentationState, RecycleStrategy, Recycler,
                       SequenceReport, run_sequence, subspace_overlap,
                       update_basis_srks, update_basis_trks)
 from .problems import (InclusionGridSpec, benchmark_spec, generate_diffusion_sequence,
-                       generate_prescribed_spectrum, read_matrix_market,
-                       write_matrix_market)
+                       read_matrix_market, write_matrix_market)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import recycle
-from .core import ContractViolation, NumericalFailure, tridiag_eig
+from .core import ContractViolation, NumericalFailure, _field, _integer, tridiag_eig
 from .problems import (InclusionGridSpec, benchmark_spec, generate_diffusion_sequence,
                        read_matrix_market, regular_inclusion_layout, write_matrix_market)
 from .recycle import RecycleStrategy, SequenceReport, run_sequence, subspace_overlap
@@ -55,7 +54,9 @@ PROBLEM_KEYS = {
 
 
 class ConfigError(ValueError):
-    pass
+    """A config file breaks a rule of its own: its keys, problem kind,
+    layout, lists or files.  A value that the object taking it refuses raises that
+    object's ContractViolation instead, to which ``main`` adds the path."""
 
 
 def load_yaml_mapping(path, what):
@@ -76,24 +77,12 @@ def load_yaml_mapping(path, what):
     return raw
 
 
-def config_value(path, key, value, convert, valid=lambda v: True):
-    """``convert(value)``; a boolean, a value that ``convert`` rejects or
-    whose result fails ``valid`` raises a one-line ConfigError."""
-    try:
-        # YAML reads yes and true as True, which Python would count as 1
-        if not isinstance(value, bool) and valid(out := convert(value)):
-            return out
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{path}: bad {key} value {value!r}")
-
-
-def config_list(path, key, value, convert=lambda v: v, valid=lambda v: True):
-    """``value`` as a list of ``config_value`` items; a scalar or a string
-    is rejected instead of being iterated."""
+def config_list(path, key, value):
+    """``value``, which must be a list: a scalar or a string is rejected
+    instead of being iterated."""
     if not isinstance(value, list):
         raise ConfigError(f"{path}: {key} must be a list")
-    return [config_value(path, key, item, convert, valid) for item in value]
+    return value
 
 
 def check_keys(path, what, mapping, known):
@@ -105,15 +94,15 @@ def check_keys(path, what, mapping, known):
 
 
 def _strategy(path, entry):
-    """``(name, strategy)`` of a shorthand or of an inline mapping."""
+    """``(name, strategy)`` of a shorthand or of an inline mapping, whose
+    ``kind`` and ``epsilon`` the strategy checks."""
     if isinstance(entry, str) and entry in STRATEGY_SHORTHAND:
         return entry, STRATEGY_SHORTHAND[entry]
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: unknown strategy {entry!r}")
     check_keys(path, "strategy", entry, {"name", "kind", "epsilon"})
-    epsilon = config_value(path, "epsilon", entry.get("epsilon", RecycleStrategy.epsilon), float)
     return (entry.get("name", entry.get("kind", "custom")),
-            RecycleStrategy(entry.get("kind", recycle.NONE), epsilon))
+            RecycleStrategy(**{key: value for key, value in entry.items() if key != "name"}))
 
 
 @dataclass(frozen=True)
@@ -128,8 +117,8 @@ class MatrixFiles:
 def problem_spec_from_dict(problem, path="config"):
     """The sequence a ``problem`` mapping names: an InclusionGridSpec for the
     ``diffusion`` and ``benchmark`` kinds, MatrixFiles for ``files``.  A key
-    the kind does not take, a missing key or a bad value raises a one-line
-    ConfigError."""
+    the kind does not take or a missing key raises a one-line ConfigError;
+    the spec, the layout and the checker refuse a bad value."""
     if not isinstance(problem, dict):
         raise ConfigError(f"{path}: problem must be a mapping")
     kind = problem.get("kind", "diffusion")
@@ -139,8 +128,10 @@ def problem_spec_from_dict(problem, path="config"):
     check_keys(path, f"{kind} problem", problem, PROBLEM_KEYS[kind])
     try:
         if kind == "files":
-            return MatrixFiles(config_value(path, "rhs", problem["rhs"], Path),
-                               tuple(config_list(path, "matrices", problem["matrices"], Path)))
+            return MatrixFiles(_field("rhs", problem["rhs"], Path),
+                               tuple(_field("matrices", matrix, Path)
+                                     for matrix in config_list(path, "matrices",
+                                                               problem["matrices"])))
         # the spec converts and checks its own values and holds their defaults
         values = {key: problem[key]
                   for key in problem.keys() - {"kind", "grid", "inclusions_per_axis"}}
@@ -148,15 +139,12 @@ def problem_spec_from_dict(problem, path="config"):
             return benchmark_spec(**values)
         if "inclusion_layout" in problem and "inclusions_per_axis" in problem:
             raise ConfigError(f"{path}: set inclusion_layout or inclusions_per_axis, not both")
-        per_axis = config_value(path, "inclusions_per_axis", problem.get("inclusions_per_axis", 0),
-                                operator.index, lambda v: v >= 0)
-        if per_axis:
-            values["inclusion_layout"] = regular_inclusion_layout(problem["grid"], per_axis)
+        if "inclusions_per_axis" in problem:
+            values["inclusion_layout"] = regular_inclusion_layout(
+                problem["grid"], problem["inclusions_per_axis"])
         return InclusionGridSpec(grid=problem["grid"], **values)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing config key 'problem.{exc.args[0]}'") from exc
-    except ContractViolation as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_matrix_files(path, files):
@@ -185,7 +173,7 @@ def read_sequence(path, raw):
     if "problem" not in raw:
         raise ConfigError(f"{path}: missing config key 'problem'")
     return (problem_spec_from_dict(raw["problem"], path),
-            config_value(path, "count", raw.get("count", 40), operator.index, lambda v: v >= 1))
+            _field("count", raw.get("count", 40), _integer, lambda c: c >= 1))
 
 
 def run_key(name, preconditioner, tol):
@@ -204,48 +192,45 @@ class ExperimentConfig:
     combination runs on the one sequence that ``problem`` and ``count`` name.
     ``problem`` is the spec of a generated sequence or the (A, b) pairs read
     from a ``files`` problem; ``strategies`` holds ``(name, RecycleStrategy)``
-    pairs."""
+    pairs and ``solve_configs`` one SolveConfig per tolerance."""
 
     problem: InclusionGridSpec | tuple
     count: int
     strategies: list
     preconditioners: list
-    tolerances: list
-    max_iters: int
+    solve_configs: list
     output_dir: Path
 
     @classmethod
     def from_file(cls, path):
+        """The experiment in ``path``: a rule of the config's own raises a
+        ConfigError, and a value the object taking it refuses, that
+        object's ContractViolation."""
         path = Path(path)
         raw = load_yaml_mapping(path, "config")
         problem, count = read_sequence(path, raw)
         try:
             strategies = [_strategy(path, entry)
                           for entry in config_list(path, "strategies", raw["strategies"])]
-            tolerances = config_list(path, "tolerances", raw["tolerances"], float,
-                                     lambda v: 0.0 < v < 1.0)
+            solve_configs = [SolveConfig(tol=tol, max_iters=raw.get("max_iters", 2000))
+                             for tol in config_list(path, "tolerances", raw["tolerances"])]
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from exc
-        except ContractViolation as exc:  # a strategy's kind or epsilon
-            raise ConfigError(f"{path}: {exc}") from exc
-        preconditioners = config_list(path, "preconditioners",
-                                      raw.get("preconditioners", ["jacobi"]), str,
-                                      PRECONDITIONERS.__contains__)
-        if not (strategies and preconditioners and tolerances):
+        preconditioners = [_field("preconditioners", name, str, PRECONDITIONERS.__contains__)
+                           for name in config_list(path, "preconditioners",
+                                                   raw.get("preconditioners", ["jacobi"]))]
+        if not (strategies and preconditioners and solve_configs):
             raise ConfigError(f"{path}: strategies, preconditioners and tolerances cannot be empty")
         if isinstance(problem, MatrixFiles) and not problem.matrices:
             raise ConfigError(f"{path}: problem.matrices must be a nonempty list")
         config = cls(problem=problem, count=count, strategies=strategies,
-                     preconditioners=preconditioners, tolerances=tolerances,
-                     max_iters=config_value(path, "max_iters", raw.get("max_iters", 2000),
-                                            operator.index, lambda v: v >= 1),
-                     output_dir=config_value(path, "output_dir", raw.get("output_dir", "out"),
-                                             Path))
+                     preconditioners=preconditioners, solve_configs=solve_configs,
+                     output_dir=_field("output_dir", raw.get("output_dir", "out"), Path))
         keys, tags = set(), set()
-        for name, _, precond, tol in config.runs():
-            if (key := run_key(name, precond, tol)) in keys:
+        for name, _, precond, cfg in config.runs():
+            if (key := run_key(name, precond, cfg.tol)) in keys:
                 raise ConfigError(f"{path}: two runs share the key {key!r}")
-            if "/" in (tag := run_tag(name, precond, tol)) or tag in tags:
+            if "/" in (tag := run_tag(name, precond, cfg.tol)) or tag in tags:
                 raise ConfigError(f"{path}: the .dat tag {tag!r} of run {key!r} holds '/' or repeats")
             keys.add(key)
             tags.add(tag)
@@ -254,11 +239,12 @@ class ExperimentConfig:
         return config
 
     def runs(self):
-        """``(name, strategy, preconditioner, tol)`` of every run, in output order."""
-        return [(name, strategy, precond, tol)
+        """``(name, strategy, preconditioner, SolveConfig)`` of every run, in
+        output order."""
+        return [(name, strategy, precond, cfg)
                 for name, strategy in self.strategies
                 for precond in self.preconditioners
-                for tol in self.tolerances]
+                for cfg in self.solve_configs]
 
 
 def _systems(config):
@@ -281,10 +267,9 @@ class RunResult:
         return run_key(self.name, self.preconditioner, self.tol)
 
 
-def _run_one(config, name, strategy, precond, tol):
-    report = run_sequence(_systems(config), PRECONDITIONERS[precond], strategy,
-                          SolveConfig(tol=tol, max_iters=config.max_iters))
-    return RunResult(name, strategy, precond, tol, report)
+def _run_one(config, name, strategy, precond, cfg):
+    report = run_sequence(_systems(config), PRECONDITIONERS[precond], strategy, cfg)
+    return RunResult(name, strategy, precond, cfg.tol, report)
 
 
 def _format_row(result, rec):
@@ -384,7 +369,7 @@ def _trace_lines(artifact):
     # carry the search directions that Ritz vectors are built from
     T = lanczos_tridiag(alphas, trace.betas)
     values = tridiag_eig(T).values
-    epsilon = float(artifact.get("epsilon", 1e-6))
+    epsilon = artifact.get("epsilon", 1e-6)
     flags = recycle.flag_spectrum(T, values, RecycleStrategy(recycle.SRKS, epsilon))
     kept = recycle.flag_spectrum(T, values, RecycleStrategy(recycle.SRKS_CLUSTER, epsilon))
     lines.append("ritz spectrum (descending):")
@@ -468,15 +453,16 @@ def main(argv=None):
     p_gen.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    if args.command == "inspect":
+        return cli_inspect(args.artifact)
+    path = args.config if args.command == "run" else args.spec
     try:
-        if args.command == "run":
-            return cli_run(args.config, args.out)
-        if args.command == "inspect":
-            return cli_inspect(args.artifact)
-        return cli_gen(args.spec, args.out)
-    except (ConfigError, ContractViolation) as exc:
+        return cli_run(path, args.out) if args.command == "run" else cli_gen(path, args.out)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ContractViolation as exc:  # a value that the object taking it refuses
+        print(f"error: {path}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

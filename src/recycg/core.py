@@ -4,11 +4,13 @@ Shared dense and sparse linear-algebra kernels.
 Everything else in the package is built on the few primitives defined here:
 a CSR container for symmetric positive definite operators (applied with
 ``A @ x``, to a vector in diagonal form when the matrix is banded), a LAPACK
-dense Cholesky with explicit rank reporting, and a symmetric tridiagonal
-eigensolver that returns sorted, orthonormal decompositions.
+dense Cholesky with explicit rank reporting, a symmetric tridiagonal
+eigensolver that returns sorted, orthonormal decompositions, and the one
+checker through which every object converts a value it takes from outside.
 """
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
 
@@ -48,6 +50,29 @@ class RankDeficient(RuntimeError):
 
 class NumericalFailure(RuntimeError):
     """An iterative kernel failed to converge or met an impossible state."""
+
+
+def _number(convert):
+    """``convert`` that refuses a boolean, which Python would read as 0 or 1."""
+    def checked(value):
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError("a boolean is not a number")
+        return convert(value)
+    return checked
+
+
+_integer, _real = _number(operator.index), _number(float)
+
+
+def _field(name, value, convert, valid=lambda v: True):
+    """``convert(value)``; a value that ``convert`` rejects or whose result
+    fails ``valid`` raises a ContractViolation naming the field and value."""
+    try:
+        if valid(out := convert(value)):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ContractViolation(f"bad {name} value {value!r}")
 
 
 @dataclass(frozen=True)
@@ -262,13 +287,6 @@ class TridiagSym:
         if not 1 <= m <= self.m:
             raise ContractViolation("truncation size out of range")
         return TridiagSym(self.diag[:m].copy(), self.offdiag[:m - 1].copy())
-
-    def to_dense(self):
-        T = np.diag(self.diag)
-        idx = np.arange(self.m - 1)
-        T[idx, idx + 1] = self.offdiag
-        T[idx + 1, idx] = self.offdiag
-        return T
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,9 @@ The benchmark sequences are finite-difference diffusion operators on a
 regular 2-D/3-D grid with stiff axis-aligned inclusions; per-material
 conductivities are redrawn for every system from a seeded counter-based
 generator, so a (spec, count) pair fully determines every matrix byte.
-Prescribed-spectrum operators provide exact-spectrum oracles for the
-convergence-theory checks.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -18,34 +15,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 
-from .core import ContractViolation, SparseSpdMatrix
-
-
-def _number(convert):
-    """``convert`` that refuses a boolean, which Python would read as 0 or 1."""
-    def checked(value):
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError("a boolean is not a number")
-        return convert(value)
-    return checked
-
-
-_integer, _real = _number(operator.index), _number(float)
+from .core import ContractViolation, SparseSpdMatrix, _field, _integer, _real
 
 
 def _integers(values):
     return tuple(map(_integer, values))
-
-
-def _field(name, value, convert, valid=lambda v: True):
-    """``convert(value)``; a value that ``convert`` rejects or whose result
-    fails ``valid`` raises a ContractViolation naming the field and value."""
-    try:
-        if valid(out := convert(value)):
-            return out
-    except (TypeError, ValueError):
-        pass
-    raise ContractViolation(f"bad {name} value {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +80,11 @@ class InclusionGridSpec:
 
 
 def regular_inclusion_layout(grid, per_axis):
-    """A regular ``per_axis x per_axis (x per_axis)`` arrangement of blocks half a cell wide."""
-    grid = _field("grid", grid, _integers)
+    """A regular ``per_axis x per_axis (x per_axis)`` arrangement of blocks
+    half a cell wide on a grid the spec accepts; ``per_axis`` runs from 1 to
+    the smallest axis, beyond which blocks would repeat."""
+    grid = InclusionGridSpec(grid).grid
+    per_axis = _field("inclusions_per_axis", per_axis, _integer, lambda p: 1 <= p <= min(grid))
     spans = []
     for g in grid:
         cell = g / per_axis
@@ -197,8 +174,7 @@ def _load_vector(grid, faces):
 def generate_diffusion_sequence(spec: InclusionGridSpec, count):
     """Yield ``count`` (matrix, rhs) pairs with redrawn material coefficients;
     the CSR pattern is built once and each system fills only its values."""
-    if count < 1:
-        raise ContractViolation("count must be >= 1")
+    count = _field("count", count, _integer, lambda c: c >= 1)
     materials = _material_map(spec)
     means = (spec.matrix_coeff_mean, *spec.inclusion_coeff_mean)
     faces, row_offsets, col_indices, order = _diffusion_pattern(spec.grid)
@@ -208,20 +184,6 @@ def generate_diffusion_sequence(spec: InclusionGridSpec, count):
         coeffs = np.array([_draw_coefficient(rng, m, spec.rel_std) for m in means])
         values = _diffusion_values(coeffs[materials], faces)[order]
         yield SparseSpdMatrix(spec.n, row_offsets, col_indices, values), b.copy()
-
-
-def generate_prescribed_spectrum(eigenvalues, seed=0) -> SparseSpdMatrix:
-    """A = Q diag(eigenvalues) Q^T with a seeded random orthogonal Q: a dense
-    oracle with an exactly known spectrum, so n is limited to 500."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    if lam.ndim != 1 or len(lam) == 0 or not np.all(lam > 0.0):
-        raise ContractViolation("eigenvalues must be a nonempty list of positive values")
-    n = len(lam)
-    if n > 500:
-        raise ContractViolation("dense-pattern generation limited to n <= 500")
-    rng = np.random.Generator(np.random.Philox(seed))
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SparseSpdMatrix.from_dense((Q * lam) @ Q.T)
 
 
 class MatrixMarketError(ValueError):

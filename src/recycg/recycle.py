@@ -11,14 +11,13 @@ grows; a coarse-Cholesky rank guard drops the columns that become dependent.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
 
 from .core import (ContractViolation, NumericalFailure, RankDeficient,
-                   SparseSpdMatrix, tridiag_eig)
+                   SparseSpdMatrix, _field, _real, tridiag_eig)
 from .ritz import cluster_filter, lanczos_from_trace, ritz_pairs, select_converged
 from .solver import SolveConfig, SolveTrace, apcg_solve, build_deflation
 
@@ -33,7 +32,8 @@ STORE = {NONE: "none", TRKS: "swept", SRKS: "directions", SRKS_CLUSTER: "directi
 class RecycleStrategy:
     """What to keep after each solve: nothing, all search directions (``trks``)
     or the Ritz vectors whose values stagnated to ``epsilon`` (``srks``),
-    outside the central cluster only for ``srks_cluster``."""
+    outside the central cluster only for ``srks_cluster``.  ``epsilon`` is
+    stored as a float and must be positive and finite for every kind."""
 
     kind: str = NONE
     epsilon: float = 1e-14
@@ -41,9 +41,8 @@ class RecycleStrategy:
     def __post_init__(self):
         if self.kind not in (NONE, TRKS, SRKS, SRKS_CLUSTER):
             raise ContractViolation(f"unknown strategy kind {self.kind!r}")
-        if self.kind in (SRKS, SRKS_CLUSTER) and not (
-                isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < math.inf):
-            raise ContractViolation("epsilon must be positive and finite for SRKS kinds")
+        object.__setattr__(self, "epsilon", _field("epsilon", self.epsilon, _real,
+                                                   lambda e: 0.0 < e < math.inf))
 
 
 class AugmentationState:

@@ -16,8 +16,6 @@ orthogonality only by repeating converged Ritz values (see SolveConfig).
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +25,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .core import (ContractViolation, NumericalFailure, SparseSpdMatrix,
-                   dense_cholesky)
+                   _field, _integer, _real, dense_cholesky)
 
 # columns of A C formed at once while the coarse matrix is built; 64 was the
 # fastest of 32-256 at n 4096 (n_c 300 and 1589, one OpenBLAS thread on a
@@ -164,7 +162,8 @@ def build_deflation(A: SparseSpdMatrix, C) -> DeflationOperator:
 
 @dataclass
 class SolveConfig:
-    """Tolerance, iteration cap and direction store of one solve.
+    """Tolerance, iteration cap and direction store of one solve; ``tol`` is
+    stored as a float in (0, 1) and ``max_iters`` as an integer >= 1.
 
     ``store`` keeps nothing, the search directions, or the directions each
     swept A-orthogonal against all earlier ones.  ``Recycler`` sets it
@@ -182,14 +181,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.store not in ("none", "directions", "swept"):
             raise ContractViolation(f"unknown direction store {self.store!r}")
-        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0):
-            raise ContractViolation("tol must be in (0, 1)")
-        try:
-            self.max_iters = operator.index(self.max_iters)
-        except TypeError as exc:
-            raise ContractViolation(f"max_iters must be an integer ({exc})") from None
-        if self.max_iters < 1:
-            raise ContractViolation("max_iters must be >= 1")
+        self.tol = _field("tol", self.tol, _real, lambda t: 0.0 < t < 1.0)
+        self.max_iters = _field("max_iters", self.max_iters, _integer, lambda m: m >= 1)
 
 
 @dataclass
@@ -234,9 +227,10 @@ class SolveTrace:
     @classmethod
     def from_json_dict(cls, d):
         """The trace of ``to_json_dict``; an ``iterations`` entry that is not
-        the number of alphas is rejected."""
+        the number of alphas, or a ``converged`` entry that is not a JSON
+        boolean, is rejected."""
         alphas = list(d.get("alphas", []))
-        if int(d.get("iterations", len(alphas))) != len(alphas):
+        if _field("iterations", d.get("iterations", len(alphas)), _integer) != len(alphas):
             raise ContractViolation(f"iterations {d['iterations']!r} is not the number "
                                     f"of alphas ({len(alphas)})")
         return cls(
@@ -244,7 +238,8 @@ class SolveTrace:
             betas=list(d.get("betas", [])),
             rz_inner=list(d.get("rz_inner", [])),
             residual_norms=list(d.get("residual_norms", [])),
-            converged=bool(d.get("converged", False)),
+            converged=_field("converged", d.get("converged", False), lambda v: v,
+                             lambda v: isinstance(v, bool)),
         )
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from recycg import (EigDecomposition, Preconditioner, SolveConfig, SparseSpdMatrix,
-                    apcg_solve, benchmark_spec, build_deflation,
+from recycg import (ContractViolation, EigDecomposition, Preconditioner, SolveConfig,
+                    SparseSpdMatrix, apcg_solve, benchmark_spec, build_deflation,
                     generate_diffusion_sequence)
 
 # the property tests draw the same examples on every run, so a failure
@@ -32,6 +32,29 @@ def dense_sym_eig(G):
     values, vectors = np.linalg.eigh(0.5 * (G + G.T))
     order = np.argsort(values)[::-1]
     return EigDecomposition(values[order], vectors[:, order])
+
+
+def tridiag_dense(T):
+    """The dense array of the TridiagSym ``T``."""
+    dense = np.diag(T.diag)
+    idx = np.arange(T.m - 1)
+    dense[idx, idx + 1] = T.offdiag
+    dense[idx + 1, idx] = T.offdiag
+    return dense
+
+
+def generate_prescribed_spectrum(eigenvalues, seed=0):
+    """A = Q diag(eigenvalues) Q^T with a seeded random orthogonal Q: a dense
+    oracle with an exactly known spectrum, so n is limited to 500."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    if lam.ndim != 1 or len(lam) == 0 or not np.all(lam > 0.0):
+        raise ContractViolation("eigenvalues must be a nonempty list of positive values")
+    n = len(lam)
+    if n > 500:
+        raise ContractViolation("dense-pattern generation limited to n <= 500")
+    rng = np.random.Generator(np.random.Philox(seed))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return SparseSpdMatrix.from_dense((Q * lam) @ Q.T)
 
 
 def residual_history(A, b, x0, trace):

@@ -12,14 +12,15 @@ import pytest
 from recycg import (Preconditioner, RecycleStrategy, SolveConfig,
                     SparseSpdMatrix, apcg_solve,
                     build_deflation,
-                    generate_diffusion_sequence, generate_prescribed_spectrum,
+                    generate_diffusion_sequence,
                     lanczos_from_trace, predict_iterations, run_sequence,
                     select_converged, subspace_overlap, tridiag_eig,
                     update_basis_srks)
 from recycg.cli import cli_run
 from recycg.problems import benchmark_spec
 from recycg.recycle import AugmentationState, select_spectrum
-from conftest import dense_sym_eig, preconditioned_residuals, residual_history
+from conftest import (dense_sym_eig, generate_prescribed_spectrum, preconditioned_residuals,
+                      residual_history)
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "fixtures" / "benchmark_pilot.json").read_text())

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recycg import (InclusionGridSpec, RecycleStrategy, SequenceReport,
+from recycg import (ContractViolation, InclusionGridSpec, RecycleStrategy, SequenceReport,
                     generate_diffusion_sequence, read_matrix_market, write_matrix_market)
 from recycg.cli import (CSV_HEADER, ConfigError, ExperimentConfig, cli_gen,
                         cli_inspect, cli_run, load_yaml_mapping, main,
@@ -54,7 +54,7 @@ def strip_timing(csv_text):
 def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig.from_file(write_config(tmp_path))
     assert [s.kind for _, s in cfg.strategies] == ["none", "trks"]
-    assert cfg.tolerances == [1e-6]
+    assert [(c.tol, c.max_iters) for c in cfg.solve_configs] == [(1e-6, 500)]
     assert cfg.count == 2
     assert cfg.problem.seed == 0
 
@@ -266,8 +266,11 @@ def test_inspect_missing_artifact(tmp_path):
     ('{"alphas": [1.0, 0.0], "betas": [0.5]}', "need one finite positive alpha per iteration"),
     ('{"alphas": [1.0, 2.0], "betas": [0.5], "iterations": 1}',
      "iterations 1 is not the number of alphas (2)"),
+    ('{"alphas": [1.0, 2.0], "betas": [0.5], "iterations": 2.7}', "bad iterations value 2.7"),
+    ('{"alphas": [1.0, 2.0], "betas": [0.5], "converged": "false"}',
+     "bad converged value 'false'"),
 ], ids=["malformed", "list", "betas-short", "beta-negative", "alpha-word", "alpha-zero",
-        "iterations"])
+        "iterations", "iterations-fraction", "converged-string"])
 def test_inspect_malformed_artifact(tmp_path, capsys, text, message):
     path = tmp_path / "artifact.json"
     path.write_text(text)
@@ -346,7 +349,7 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     ("[none, trks]", "[{kind: srks, epsilon: tiny}]", "bad epsilon value 'tiny'"),
     ("[none, trks]", "[[srks]]", "unknown strategy ['srks']"),
     ("[none, trks]", "none", "strategies must be a list"),
-    ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, tight]", "bad tolerances value 'tight'"),
+    ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, tight]", "bad tol value 'tight'"),
     ("max_iters: 500", "max_iters: lots", "bad max_iters value 'lots'"),
     ("max_iters: 500", "max_iters: 2.5", "bad max_iters value 2.5"),
     # YAML reads yes and true as booleans, which Python would count as 1
@@ -396,7 +399,7 @@ def test_tolerance_out_of_range_rejected_before_any_solve(tmp_path, capsys, monk
                                                          "tolerances: [1.0e-6, 2.0]"))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {config}: bad tolerances value 2.0\n"
+    assert err == f"error: {config}: bad tol value 2.0\n"
     assert solved == [] and not (tmp_path / "out").exists()
 
 
@@ -412,16 +415,16 @@ def test_non_finite_srks_epsilon_rejected_before_any_solve(tmp_path, capsys, mon
         "[none, trks]", f"[{{kind: {kind}, epsilon: {epsilon}}}]"))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {config}: epsilon must be positive and finite for SRKS kinds\n"
+    assert err == f"error: {config}: bad epsilon value {epsilon.strip('.')}\n"
     assert solved == [] and not (tmp_path / "out").exists()
 
 
 def test_unknown_strategy_kind_is_a_config_error(tmp_path, capsys):
-    """The strategy's own check reaches the caller as a ConfigError with the path."""
+    """The strategy's own check reaches the caller, and main adds the path."""
     config = write_config(tmp_path, SMALL_CONFIG.replace("[none, trks]", "[{kind: bogus}]"))
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(ContractViolation) as excinfo:
         ExperimentConfig.from_file(config)
-    assert str(excinfo.value) == f"{config}: unknown strategy kind 'bogus'"
+    assert str(excinfo.value) == "unknown strategy kind 'bogus'"
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {config}: unknown strategy kind 'bogus'\n"
     assert not (tmp_path / "out").exists()
@@ -493,13 +496,16 @@ PROBLEM_ERRORS = [
     ("max_iters: 500", "max_iter: 500", "unknown config keys ['max_iter']"),
     ("count: 2", "count: two", "bad count value 'two'"),
     ("count: 2", "count: true", "bad count value True"),
+    # more blocks per axis than cells on the smallest axis would repeat blocks
+    ("inclusion_layout: [[[2, 6], [2, 6]]]\n  inclusion_coeff_mean: 100.0",
+     "inclusions_per_axis: 9", "bad inclusions_per_axis value 9"),
 ]
 PROBLEM_ERROR_IDS = [
     "problem-scalar", "kind-typo", "benchmark-grid", "seed-typo", "seed-word", "seed-negative",
     "seed-bool", "grid-scalar", "grid-word", "per-axis-grid-word", "grid-missing",
     "layout-block", "layout-bounds", "means-count", "means-word", "inclusions",
     "layout-and-per-axis", "count-in-problem", "rel_std", "max_iters-typo", "count-word",
-    "count-bool"]
+    "count-bool", "per-axis-beyond-grid"]
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])

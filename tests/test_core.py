@@ -13,7 +13,7 @@ from recycg import (ContractViolation, EigDecomposition, InclusionGridSpec,
                     RankDeficient, SparseSpdMatrix, TridiagSym, benchmark_spec,
                     core, dense_cholesky, generate_diffusion_sequence,
                     tridiag_eig)
-from conftest import dense_sym_eig, random_spd
+from conftest import dense_sym_eig, random_spd, tridiag_dense
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ def test_tridiag_truncated():
 
 def test_tridiag_to_dense():
     T = TridiagSym(np.array([2.0, 2.0]), np.array([1.0]))
-    np.testing.assert_array_equal(T.to_dense(), [[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(tridiag_dense(T), [[2.0, 1.0], [1.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def test_tridiag_eig_2x2():
     T = TridiagSym(np.array([2.0, 2.0]), np.array([1.0]))
     eig = tridiag_eig(T)
     np.testing.assert_allclose(eig.values, [3.0, 1.0])
-    _check_decomposition(eig, T.to_dense())
+    _check_decomposition(eig, tridiag_dense(T))
 
 
 def test_tridiag_eig_laplacian_closed_form():
@@ -440,14 +440,14 @@ def test_tridiag_eig_laplacian_closed_form():
     expected = sorted((2.0 - 2.0 * np.cos(k * np.pi / 5.0) for k in range(1, 5)),
                       reverse=True)
     np.testing.assert_allclose(eig.values, expected, rtol=1e-12)
-    _check_decomposition(eig, T.to_dense())
+    _check_decomposition(eig, tridiag_dense(T))
 
 
 def test_solvers_agree_on_tridiagonal(rng):
     for m in (2, 5, 12):
         T = TridiagSym(rng.uniform(1.0, 3.0, m), rng.uniform(-1.0, 1.0, m - 1))
         v1 = tridiag_eig(T).values
-        v2 = dense_sym_eig(T.to_dense()).values
+        v2 = dense_sym_eig(tridiag_dense(T)).values
         np.testing.assert_allclose(v1, v2, rtol=1e-9,
                                    atol=1e-9 * np.abs(v2).max())
 

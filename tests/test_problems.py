@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from recycg import (ContractViolation, InclusionGridSpec, SparseSpdMatrix,
-                    generate_diffusion_sequence, generate_prescribed_spectrum,
-                    read_matrix_market, write_matrix_market)
+                    generate_diffusion_sequence, read_matrix_market, write_matrix_market)
 from recycg import problems
 from recycg.problems import (MatrixMarketError, benchmark_spec,
                              regular_inclusion_layout)
-from conftest import dense_sym_eig
+from conftest import dense_sym_eig, generate_prescribed_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +73,20 @@ def test_spec_rejects_non_finite_and_non_integer_input(kwargs):
 
 
 def test_regular_layout_counts():
-    layout = regular_inclusion_layout((64, 64), 4)
-    assert len(layout) == 16
-    for block in layout:
-        for (lo, hi) in block:
-            assert 0 <= lo < hi <= 64
+    # up to one block per cell of the smallest axis, also on a non-square grid
+    for grid, per_axis in (((64, 64), 4), ((5, 9), 5), ((3, 7, 4), 3)):
+        layout = regular_inclusion_layout(grid, per_axis)
+        assert len(set(layout)) == len(layout) == per_axis ** len(grid)
+        for block in layout:
+            for (lo, hi), g in zip(block, grid):
+                assert 0 <= lo < hi <= g
+
+
+@pytest.mark.parametrize("per_axis", [0, 6, True, 2.5])
+def test_regular_layout_refuses_a_count_outside_the_grid(per_axis):
+    """Beyond the smallest axis blocks would repeat, and 0 divided by zero."""
+    with pytest.raises(ContractViolation, match=f"bad inclusions_per_axis value {per_axis!r}"):
+        regular_inclusion_layout((5, 9), per_axis)
 
 
 def test_benchmark_spec_shape():
@@ -265,12 +273,13 @@ def test_pattern_built_once_per_sequence(monkeypatch):
 
 def test_count_validation():
     spec = InclusionGridSpec(grid=(4, 4))
-    with pytest.raises(ContractViolation):
-        list(generate_diffusion_sequence(spec, 0))
+    for count in (0, True):
+        with pytest.raises(ContractViolation, match=f"bad count value {count!r}"):
+            list(generate_diffusion_sequence(spec, count))
 
 
 # ---------------------------------------------------------------------------
-# prescribed spectrum
+# the prescribed-spectrum oracle of conftest
 
 
 def test_prescribed_identity_spectrum():

@@ -2,6 +2,7 @@
 strategy behavior on constant and varying operator sequences."""
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -44,18 +45,24 @@ def test_strategy_validation():
         RecycleStrategy("bogus")
     with pytest.raises(ContractViolation):
         RecycleStrategy("srks", epsilon=0.0)
+    # a boolean is not a number, and epsilon is checked for every kind
+    for kind, epsilon in (("srks", True), ("srks", np.True_), ("trks", -1.0)):
+        with pytest.raises(ContractViolation, match=re.escape(f"bad epsilon value {epsilon!r}")):
+            RecycleStrategy(kind, epsilon=epsilon)
+    # YAML reads 1e-6, without a dot, as text
+    assert RecycleStrategy("srks", epsilon="1e-6").epsilon == 1e-6
 
 
 @pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
 def test_srks_strategy_rejects_a_non_finite_epsilon(kind, epsilon):
     """NaN would select no Ritz value, and +inf every one."""
-    with pytest.raises(ContractViolation, match="finite"):
+    with pytest.raises(ContractViolation, match=f"bad epsilon value {epsilon}"):
         RecycleStrategy(kind, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("kind", ["srks", "srks_cluster"])
-@pytest.mark.parametrize("epsilon", ["1e-6", None])
+@pytest.mark.parametrize("epsilon", ["tiny", None])
 def test_srks_strategy_rejects_a_non_numeric_epsilon(kind, epsilon):
     with pytest.raises(ContractViolation, match="epsilon"):
         RecycleStrategy(kind, epsilon=epsilon)

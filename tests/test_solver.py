@@ -3,6 +3,7 @@ equivalence with explicitly projected / split-preconditioned formulations."""
 import itertools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -552,20 +553,21 @@ def loops_bit_identical(precond, n_c, store, max_iters):
 
 
 def test_solve_config_validation():
-    with pytest.raises(ContractViolation):
-        SolveConfig(tol=0.0)
-    with pytest.raises(ContractViolation):
-        SolveConfig(tol=2.0)
-    with pytest.raises(ContractViolation):
-        SolveConfig(max_iters=0)
-    # a fractional or text cap would fail only inside the solve
-    for max_iters in (2.5, "10"):
-        with pytest.raises(ContractViolation, match="max_iters must be an integer"):
+    for tol in (0.0, 2.0):
+        with pytest.raises(ContractViolation, match=f"bad tol value {tol}"):
+            SolveConfig(tol=tol)
+    # a fractional or text cap would fail only inside the solve, and a
+    # boolean would be read as 1
+    for max_iters in (0, 2.5, "10", True):
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"bad max_iters value {max_iters!r}")):
             SolveConfig(max_iters=max_iters)
     assert SolveConfig(max_iters=np.int64(10)).max_iters == 10
+    # YAML reads 1e-6, without a dot, as text
+    assert SolveConfig(tol="1e-6").tol == 1e-6
 
 
-@pytest.mark.parametrize("tol", ["1e-6", None, [1e-6]])
+@pytest.mark.parametrize("tol", ["tight", None, [1e-6]])
 def test_solve_config_rejects_a_non_numeric_tol(tol):
     with pytest.raises(ContractViolation, match="tol"):
         SolveConfig(tol=tol)
