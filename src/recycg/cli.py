@@ -53,55 +53,50 @@ PROBLEM_KEYS = {
 }
 
 
-class ConfigError(ValueError):
-    """A config file breaks a rule of its own: its keys, problem kind,
-    layout, lists or files.  A value that the object taking it refuses raises that
-    object's ContractViolation instead, to which ``main`` adds the path."""
-
-
 def load_yaml_mapping(path, what):
     """The YAML mapping in ``path``; a file that cannot be read, malformed
-    YAML or a document that is not a mapping raise a one-line ConfigError."""
-    path = Path(path)
+    YAML or a document that is not a mapping raise a one-line
+    ContractViolation, to which ``main`` adds the path."""
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read {what}: {exc.strerror}") from exc
+        raise ContractViolation(f"cannot read {what}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark else "?"
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
-        raise ConfigError(f"{path}:{line}: {problem}") from exc
+        raise ContractViolation(f"line {mark.line + 1}: {problem}" if mark else problem) from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: {what} must be a mapping")
+        raise ContractViolation(f"{what} must be a mapping")
     return raw
 
 
-def config_list(path, key, value):
+def config_list(key, value):
     """``value``, which must be a list: a scalar or a string is rejected
     instead of being iterated."""
     if not isinstance(value, list):
-        raise ConfigError(f"{path}: {key} must be a list")
+        raise ContractViolation(f"{key} must be a list")
     return value
 
 
-def check_keys(path, what, mapping, known):
-    """Raise a one-line ConfigError naming the keys of ``mapping`` outside ``known``."""
+def check_keys(what, mapping, known):
+    """Raise a one-line ContractViolation naming the keys of ``mapping`` outside ``known``."""
     unknown = sorted(map(str, set(mapping) - known))
     if unknown:
-        raise ConfigError(f"{path}: unknown {what} keys {unknown}; "
-                          f"the known ones are {sorted(known)}")
+        raise ContractViolation(f"unknown {what} keys {unknown}; "
+                                f"the known ones are {sorted(known)}")
 
 
-def _strategy(path, entry):
-    """``(name, strategy)`` of a shorthand or of an inline mapping, whose
-    ``kind`` and ``epsilon`` the strategy checks."""
+def _strategy(entry):
+    """``(name, strategy)`` of a shorthand or of an inline mapping, which must
+    name its ``kind`` (a missing one raises KeyError); ``name`` defaults to the
+    kind, and the strategy checks ``kind`` and ``epsilon``."""
     if isinstance(entry, str) and entry in STRATEGY_SHORTHAND:
         return entry, STRATEGY_SHORTHAND[entry]
     if not isinstance(entry, dict):
-        raise ConfigError(f"{path}: unknown strategy {entry!r}")
-    check_keys(path, "strategy", entry, {"name", "kind", "epsilon"})
-    return (entry.get("name", entry.get("kind", "custom")),
+        raise ContractViolation(f"unknown strategy {entry!r}")
+    check_keys("strategy", entry, {"name", "kind", "epsilon"})
+    kind = entry["kind"]
+    return (entry.get("name", kind),
             RecycleStrategy(**{key: value for key, value in entry.items() if key != "name"}))
 
 
@@ -114,42 +109,41 @@ class MatrixFiles:
     matrices: tuple
 
 
-def problem_spec_from_dict(problem, path="config"):
+def problem_spec_from_dict(problem):
     """The sequence a ``problem`` mapping names: an InclusionGridSpec for the
     ``diffusion`` and ``benchmark`` kinds, MatrixFiles for ``files``.  A key
-    the kind does not take or a missing key raises a one-line ConfigError;
-    the spec, the layout and the checker refuse a bad value."""
+    the kind does not take, a missing key or a bad value raises a one-line
+    ContractViolation: the spec, the layout and the checker refuse the values."""
     if not isinstance(problem, dict):
-        raise ConfigError(f"{path}: problem must be a mapping")
+        raise ContractViolation("problem must be a mapping")
     kind = problem.get("kind", "diffusion")
     if not isinstance(kind, str) or kind not in PROBLEM_KEYS:
-        raise ConfigError(f"{path}: unknown problem kind {kind!r}; "
-                          f"the known ones are {sorted(PROBLEM_KEYS)}")
-    check_keys(path, f"{kind} problem", problem, PROBLEM_KEYS[kind])
+        raise ContractViolation(f"unknown problem kind {kind!r}; "
+                                f"the known ones are {sorted(PROBLEM_KEYS)}")
+    check_keys(f"{kind} problem", problem, PROBLEM_KEYS[kind])
     try:
         if kind == "files":
             return MatrixFiles(_field("rhs", problem["rhs"], Path),
                                tuple(_field("matrices", matrix, Path)
-                                     for matrix in config_list(path, "matrices",
-                                                               problem["matrices"])))
+                                     for matrix in config_list("matrices", problem["matrices"])))
         # the spec converts and checks its own values and holds their defaults
         values = {key: problem[key]
                   for key in problem.keys() - {"kind", "grid", "inclusions_per_axis"}}
         if kind == "benchmark":
             return benchmark_spec(**values)
         if "inclusion_layout" in problem and "inclusions_per_axis" in problem:
-            raise ConfigError(f"{path}: set inclusion_layout or inclusions_per_axis, not both")
+            raise ContractViolation("set inclusion_layout or inclusions_per_axis, not both")
         if "inclusions_per_axis" in problem:
             values["inclusion_layout"] = regular_inclusion_layout(
                 problem["grid"], problem["inclusions_per_axis"])
         return InclusionGridSpec(grid=problem["grid"], **values)
     except KeyError as exc:
-        raise ConfigError(f"{path}: missing config key 'problem.{exc.args[0]}'") from exc
+        raise ContractViolation(f"missing config key 'problem.{exc.args[0]}'") from exc
 
 
-def read_matrix_files(path, files):
+def read_matrix_files(files):
     """The (A, b) pairs of a ``files`` problem; a file that cannot be read or
-    parsed raises a one-line ConfigError naming it."""
+    parsed raises a one-line ContractViolation naming it."""
     def read(file):
         try:
             return read_matrix_market(file)
@@ -157,22 +151,22 @@ def read_matrix_files(path, files):
             problem = exc.strerror
         except ValueError as exc:  # malformed content or an invalid matrix
             problem = str(exc).splitlines()[0]
-        raise ConfigError(f"{path}: cannot read {file}: {problem}")
+        raise ContractViolation(f"cannot read {file}: {problem}")
 
     rhs = read(files.rhs)
     return tuple((read(matrix), rhs) for matrix in files.matrices)
 
 
-def read_sequence(path, raw):
+def read_sequence(raw):
     """``(problem, count)`` of a config mapping, read the same way for ``run``
     and ``gen``: the sequence that ``problem_spec_from_dict`` makes of the
     ``problem`` mapping, and the number of systems to generate (default 40;
     a ``files`` problem solves every listed matrix).  A top-level key outside
-    ``CONFIG_KEYS`` raises a one-line ConfigError."""
-    check_keys(path, "config", raw, CONFIG_KEYS)
+    ``CONFIG_KEYS`` raises a one-line ContractViolation."""
+    check_keys("config", raw, CONFIG_KEYS)
     if "problem" not in raw:
-        raise ConfigError(f"{path}: missing config key 'problem'")
-    return (problem_spec_from_dict(raw["problem"], path),
+        raise ContractViolation("missing config key 'problem'")
+    return (problem_spec_from_dict(raw["problem"]),
             _field("count", raw.get("count", 40), _integer, lambda c: c >= 1))
 
 
@@ -203,39 +197,38 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        """The experiment in ``path``: a rule of the config's own raises a
-        ConfigError, and a value the object taking it refuses, that
-        object's ContractViolation."""
-        path = Path(path)
+        """The experiment in ``path``.  Every fault of the config, a rule of
+        its own or a value that the object taking it refuses, raises a
+        one-line ContractViolation, to which ``main`` adds the path."""
         raw = load_yaml_mapping(path, "config")
-        problem, count = read_sequence(path, raw)
+        problem, count = read_sequence(raw)
         try:
-            strategies = [_strategy(path, entry)
-                          for entry in config_list(path, "strategies", raw["strategies"])]
+            strategies = [_strategy(entry)
+                          for entry in config_list("strategies", raw["strategies"])]
             solve_configs = [SolveConfig(tol=tol, max_iters=raw.get("max_iters", 2000))
-                             for tol in config_list(path, "tolerances", raw["tolerances"])]
+                             for tol in config_list("tolerances", raw["tolerances"])]
         except KeyError as exc:
-            raise ConfigError(f"{path}: missing config key {exc}") from exc
+            raise ContractViolation(f"missing config key {exc}") from exc
         preconditioners = [_field("preconditioners", name, str, PRECONDITIONERS.__contains__)
-                           for name in config_list(path, "preconditioners",
+                           for name in config_list("preconditioners",
                                                    raw.get("preconditioners", ["jacobi"]))]
         if not (strategies and preconditioners and solve_configs):
-            raise ConfigError(f"{path}: strategies, preconditioners and tolerances cannot be empty")
+            raise ContractViolation("strategies, preconditioners and tolerances cannot be empty")
         if isinstance(problem, MatrixFiles) and not problem.matrices:
-            raise ConfigError(f"{path}: problem.matrices must be a nonempty list")
+            raise ContractViolation("problem.matrices must be a nonempty list")
         config = cls(problem=problem, count=count, strategies=strategies,
                      preconditioners=preconditioners, solve_configs=solve_configs,
                      output_dir=_field("output_dir", raw.get("output_dir", "out"), Path))
         keys, tags = set(), set()
         for name, _, precond, cfg in config.runs():
             if (key := run_key(name, precond, cfg.tol)) in keys:
-                raise ConfigError(f"{path}: two runs share the key {key!r}")
+                raise ContractViolation(f"two runs share the key {key!r}")
             if "/" in (tag := run_tag(name, precond, cfg.tol)) or tag in tags:
-                raise ConfigError(f"{path}: the .dat tag {tag!r} of run {key!r} holds '/' or repeats")
+                raise ContractViolation(f"the .dat tag {tag!r} of run {key!r} holds '/' or repeats")
             keys.add(key)
             tags.add(tag)
         if isinstance(problem, MatrixFiles):
-            config.problem = read_matrix_files(path, problem)
+            config.problem = read_matrix_files(problem)
         return config
 
     def runs(self):
@@ -399,11 +392,10 @@ def _summary_lines(artifact):
 def cli_inspect(path, stream=None):
     """Print diagnostics for a saved trace or report; returns exit status.
     An artifact that is missing, malformed or cannot be decoded prints one
-    error line and returns 1."""
+    error line that names ``path`` as given and returns 1."""
     stream = stream or sys.stdout
-    path = Path(path)
     try:
-        artifact = json.loads(path.read_text())
+        artifact = json.loads(Path(path).read_text())
         if not isinstance(artifact, dict):
             raise TypeError("artifact must be a JSON object")
         lines = _trace_lines(artifact) if "alphas" in artifact else _summary_lines(artifact)
@@ -424,9 +416,9 @@ def cli_gen(spec_path, out_dir):
     """Write the sequence that a config's ``problem`` and ``count`` name as
     Matrix Market files; returns exit status.  The keys only ``run`` reads
     are accepted and ignored."""
-    problem, count = read_sequence(spec_path, load_yaml_mapping(spec_path, "spec"))
+    problem, count = read_sequence(load_yaml_mapping(spec_path, "spec"))
     if isinstance(problem, MatrixFiles):
-        raise ConfigError(f"{spec_path}: gen needs a generated problem, not kind: files")
+        raise ContractViolation("gen needs a generated problem, not kind: files")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for k, (A, b) in enumerate(generate_diffusion_sequence(problem, count)):
@@ -458,9 +450,7 @@ def main(argv=None):
     path = args.config if args.command == "run" else args.spec
     try:
         return cli_run(path, args.out) if args.command == "run" else cli_gen(path, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except ContractViolation as exc:  # a value that the object taking it refuses
+    except ContractViolation as exc:  # any config fault; the file is named as given
         print(f"error: {path}: {exc}", file=sys.stderr)
     return 2
 

@@ -9,7 +9,7 @@ import pytest
 
 from recycg import (ContractViolation, InclusionGridSpec, RecycleStrategy, SequenceReport,
                     generate_diffusion_sequence, read_matrix_market, write_matrix_market)
-from recycg.cli import (CSV_HEADER, ConfigError, ExperimentConfig, cli_gen,
+from recycg.cli import (CSV_HEADER, ExperimentConfig, cli_gen,
                         cli_inspect, cli_run, load_yaml_mapping, main,
                         problem_spec_from_dict, read_sequence)
 from conftest import benchmark_solve
@@ -69,19 +69,21 @@ def test_config_inline_strategy(tmp_path):
 
 def test_config_unknown_strategy(tmp_path):
     text = SMALL_CONFIG.replace("[none, trks]", "[bogus]")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractViolation, match=r"unknown strategy 'bogus'"):
         ExperimentConfig.from_file(write_config(tmp_path, text))
 
 
 def test_config_missing_key(tmp_path):
-    with pytest.raises(ConfigError, match="missing config key"):
+    with pytest.raises(ContractViolation, match="missing config key"):
         ExperimentConfig.from_file(write_config(tmp_path, "problem: {}\n"))
 
 
 def test_config_yaml_error_reports_line(tmp_path):
+    """The reader names the line; only ``main`` names the file."""
     path = write_config(tmp_path, "problem: {kind: diffusion\nstrategies: [\n")
-    with pytest.raises(ConfigError, match=str(path)):
+    with pytest.raises(ContractViolation) as excinfo:
         ExperimentConfig.from_file(path)
+    assert str(excinfo.value) == "line 2: expected ',' or '}', but got ':'"
 
 
 def test_problem_spec_shorthand():
@@ -257,6 +259,13 @@ def test_inspect_missing_artifact(tmp_path):
     assert cli_inspect(tmp_path / "nope.json") == 1
 
 
+def test_inspect_names_the_artifact_as_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["inspect", "./missing.json"]) == 1
+    assert capsys.readouterr().err == ("error: ./missing.json: cannot read artifact: "
+                                       "No such file or directory\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("{bad", "malformed JSON"),
     ("[1, 2]", "artifact must be a JSON object"),
@@ -322,8 +331,10 @@ def test_main_files_problem_round_trip(tmp_path):
      "gen needs a generated problem"),
     ("- grid: [4, 4]\n", "spec must be a mapping"),
     (None, "cannot read spec"),
-    ("problem: {grid: [4, 4]\ncount: 1\n", "spec.yaml:2: "),
-], ids=["files", "not-a-mapping", "missing", "malformed"])
+    ("problem: {grid: [4, 4]\ncount: 1\n", "spec.yaml: line 2: "),
+    # the YAML reader gives no line for a character it does not accept
+    ("count: 1\x01\n", "spec.yaml: unacceptable character #x0001: "),
+], ids=["files", "not-a-mapping", "missing", "malformed", "control-character"])
 def test_gen_config_errors_exit_2(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.yaml"
     if text is not None:
@@ -332,6 +343,27 @@ def test_gen_config_errors_exit_2(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "seq").exists()
+
+
+UNKNOWN_BOGUS = ("unknown config keys ['bogus']; the known ones are ['count', 'max_iters', "
+                 "'output_dir', 'preconditioners', 'problem', 'strategies', 'tolerances']")
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("run", "count: 2", "count: 2\nbogus: 1", UNKNOWN_BOGUS),
+    ("gen", "count: 2", "count: 2\nbogus: 1", UNKNOWN_BOGUS),
+    ("run", "tolerances: [1.0e-6]", "tolerances: [2.0]", "bad tol value 2.0"),
+    # gen reads only the problem and count, so its value fault is the count
+    ("gen", "count: 2", "count: 0", "bad count value 0"),
+], ids=["run-structural", "gen-structural", "run-value", "gen-value"])
+def test_config_path_as_given_exit_2(tmp_path, capsys, monkeypatch, command, old, new, message):
+    """Every config fault prints the path as the command line gave it."""
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, SMALL_CONFIG.replace(old, new), name="cfg.yaml")
+    option = "--config" if command == "run" else "--spec"
+    assert main([command, option, "./cfg.yaml", "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: ./cfg.yaml: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_config_exit_2(tmp_path, capsys):
@@ -348,6 +380,8 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
      "unknown strategy keys ['min_cluster']"),
     ("[none, trks]", "[{kind: srks, epsilon: tiny}]", "bad epsilon value 'tiny'"),
     ("[none, trks]", "[[srks]]", "unknown strategy ['srks']"),
+    # without a kind the strategy would run plain CG and ignore its epsilon
+    ("[none, trks]", "[{name: tight, epsilon: 1.0e-10}]", "missing config key 'kind'"),
     ("[none, trks]", "none", "strategies must be a list"),
     ("tolerances: [1.0e-6]", "tolerances: [1.0e-6, tight]", "bad tol value 'tight'"),
     ("max_iters: 500", "max_iters: lots", "bad max_iters value 'lots'"),
@@ -377,8 +411,8 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     ("tolerances: [1.0e-6]", "tolerances: []",
      "strategies, preconditioners and tolerances cannot be empty"),
 ], ids=["unknown-key", "nc_limit", "min_cluster", "epsilon", "strategy-list",
-        "strategies-string", "tolerance", "max_iters-word", "max_iters-float",
-        "max_iters-bool", "epsilon-bool", "count", "seed", "seeds-scalar", "preconditioner",
+        "inline-without-kind", "strategies-string", "tolerance", "max_iters-word",
+        "max_iters-float", "max_iters-bool", "epsilon-bool", "count", "seed", "seeds-scalar", "preconditioner",
         "same-inline-name", "same-strategy", "same-preconditioner", "same-printed-tol",
         "same-dat-tag", "slash-in-name", "strategies-empty",
         "preconditioners-empty", "tolerances-empty"])
@@ -571,7 +605,7 @@ def test_shipped_configs_parse(tmp_path, name):
     else:
         path = REPO_ROOT / "configs" / name
     config = ExperimentConfig.from_file(path)
-    problem, count = read_sequence(path, load_yaml_mapping(path, "spec"))
+    problem, count = read_sequence(load_yaml_mapping(path, "spec"))
     assert (problem, count) == (config.problem, config.count)
     assert isinstance(problem, InclusionGridSpec)
 
