@@ -10,6 +10,7 @@ checker through which every object converts a value it takes from outside.
 """
 from __future__ import annotations
 
+import functools
 import operator
 import weakref
 from dataclasses import dataclass, field
@@ -28,11 +29,7 @@ DIA_MAX_FILL = 1.5
 # column as dependent on the earlier ones (the augmentation basis rank guard)
 RANK_GUARD_RTOL = 1e-12
 
-# (weak reference to the matrix applied to a vector last, its DIA operator or
-# None for CSR): one matrix's diagonals at a time, freed with the matrix
-_dia_slot = (None, None)
-# the _Pattern of the matrix constructed or applied last: the matrices of a
-# sequence share one pattern, which is checked and laid out once
+# the _Pattern checked last, which the matrices of a sequence share
 _pattern_slot = None
 
 
@@ -79,41 +76,37 @@ def _field(name, value, convert, valid=lambda v: True):
 class SparseSpdMatrix:
     """Symmetric positive definite operator in CSR form (full pattern stored).
 
-    Invariants checked at construction: finite values, structural symmetry
-    with equal values, strictly positive diagonal present in every row,
-    nondecreasing row offsets, and column indices in range and strictly
-    increasing within each row.  The index arrays are stored in scipy's
-    index dtype and shared with the CSR operator.  The pattern checks run
-    once per pattern: a matrix whose index arrays hold the same numbers as
-    the last checked pattern's has only its values checked.
+    Invariants checked at construction: integer index arrays, finite values,
+    structural symmetry with equal values, strictly positive diagonal present
+    in every row, nondecreasing row offsets, and column indices in range and
+    strictly increasing within each row.  A matrix is its checked
+    ``_Pattern`` plus its values.  The pattern checks run once per pattern:
+    a matrix whose index arrays hold the same numbers as the last checked
+    pattern's has only its values checked.  scipy's CSR form is made at the
+    first product that needs it.
     """
 
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _csr: scipy.sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _pattern: _Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ro = np.asarray(self.row_offsets)
-        ci = np.asarray(self.col_indices)
+        n = _field("n", self.n, _integer, lambda v: v >= 0)
+        ro = _index_array("row_offsets", self.row_offsets)
+        ci = _index_array("col_indices", self.col_indices)
         va = np.asarray(self.values, dtype=np.float64)
         if len(ci) != len(va):
             raise ContractViolation("inconsistent CSR arrays")
-        pattern = _pattern(self.n, ro, ci, va)
         if not np.all(np.isfinite(va)):
             raise ContractViolation("matrix values must be finite")
+        pattern = _pattern(n, ro, ci, va)
         if np.any(va[pattern.diag] <= 0.0):
             raise ContractViolation("all diagonal entries must be present and positive")
         if not np.array_equal(va[pattern.perm], va):
             raise ContractViolation("matrix is not symmetric (pattern or values)")
-        # no copy of index arrays already in scipy's index dtype
-        csr = scipy.sparse.csr_matrix((va, ci, ro), shape=(self.n, self.n))
-        csr.has_canonical_format = True
-        object.__setattr__(self, "row_offsets", csr.indptr)
-        object.__setattr__(self, "col_indices", csr.indices)
-        object.__setattr__(self, "values", csr.data)
-        object.__setattr__(self, "_csr", csr)
+        self.__dict__.update(n=n, row_offsets=ro, col_indices=ci, values=va, _pattern=pattern)
 
     @classmethod
     def from_dense(cls, dense):
@@ -130,11 +123,20 @@ class SparseSpdMatrix:
         csr.sort_indices()
         return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
 
+    def __reduce__(self):
+        """Pickled and copied as the four fields, checked again when rebuilt."""
+        return type(self), (self.n, self.row_offsets, self.col_indices, self.values)
+
+    @functools.cached_property
+    def _csr(self):
+        return scipy.sparse.csr_matrix((self.values, self.col_indices, self.row_offsets),
+                                       shape=(self.n, self.n))
+
     def to_dense(self):
         return self._csr.toarray()
 
     def diagonal(self):
-        return self._csr.diagonal()
+        return self.values[self._pattern.diag]
 
     @property
     def nnz(self):
@@ -143,52 +145,33 @@ class SparseSpdMatrix:
     def __matmul__(self, other):
         """``A @ x`` for a vector or a block of columns.
 
-        A vector meets a banded matrix in DIA form, which gives the CSR
-        product bit for bit when the vector is finite: both kernels start
-        each row from zero and add its terms in ascending column order, and
-        DIA's padding adds 0 * x_j, an exact zero.  Blocks, and matrices with
-        more padding, stay in CSR.
+        A vector meets a banded matrix in its pattern's DIA form, which gives
+        the CSR product bit for bit when the vector is finite: both kernels
+        start each row from zero and add its terms in ascending column order,
+        and DIA's padding adds 0 * x_j, an exact zero.  Blocks, and matrices
+        with more padding, go through CSR.
         """
         other = np.asarray(other, dtype=np.float64)
-        if other.ndim == 1:
-            dia = _dia_operator(self)
-            if dia is not None:
-                return dia @ other
+        if other.ndim == 1 and self._pattern.slots is not None:
+            return self._pattern.dia(self) @ other
         return self._csr @ other
 
 
-def _dia_operator(A):
-    """A's DIA operator (None: CSR), built at A's first SpMV after another
-    matrix's, so the constructor does not pay for it."""
-    global _dia_slot
-    ref, dia = _dia_slot
-    if ref is None or ref() is not A:
-        dia = _banded(A)
-        _dia_slot = (weakref.ref(A, _release_dia), dia)
-    return dia
+def _index_array(name, a):
+    """``a`` as an index array: int32 and int64 as given, other integers as
+    scipy casts them (to int32 where they fit); floats and booleans refused."""
+    a = np.asarray(a)
+    if a.dtype in (np.int32, np.int64):
+        return a
+    if a.size and a.dtype.kind not in "iu":
+        raise ContractViolation(f"{name} must hold integers, not {a.dtype}")
+    wide = a.size and (a.min() < -2**31 or a.max() >= 2**31)
+    return a.astype(np.int64 if wide else np.int32)
 
 
-def _release_dia(ref):
-    global _dia_slot
-    if _dia_slot[0] is ref:
-        _dia_slot = (None, None)
-
-
-def _banded(A):
-    """A in DIA form, or None when its diagonals hold more than
-    ``DIA_MAX_FILL`` slots per stored entry."""
-    pattern = _pattern(A.n, A.row_offsets, A.col_indices, A.values)
-    if pattern.slots is None:
-        return None
-    data = np.zeros(len(pattern.offsets) * A.n)
-    data[pattern.slots] = A.values
-    return scipy.sparse.dia_matrix((data.reshape(len(pattern.offsets), A.n), pattern.offsets),
-                                   shape=(A.n, A.n))
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Pattern:
-    """A checked CSR pattern and what its matrices' checks and DIA form read.
+    """A checked CSR pattern, what its matrices' checks and DIA form read.
 
     ``row_offsets`` and ``col_indices`` are the pattern's own read-only
     copies, so an array changed in place after the check no longer matches.
@@ -197,7 +180,9 @@ class _Pattern:
     diagonals j - i the pattern occupies, and ``slots[k]`` is entry k's
     index in the flattened scipy DIA data, where ``data[d, j]`` holds
     ``A[j - offsets[d], j]``; both are None when the diagonals hold more
-    than ``DIA_MAX_FILL`` slots per stored entry.
+    than ``DIA_MAX_FILL`` slots per stored entry.  ``_last`` holds a weak
+    reference to the matrix applied to a vector last and its DIA operator;
+    both are dropped when that matrix dies.
     """
 
     n: int
@@ -207,6 +192,23 @@ class _Pattern:
     diag: np.ndarray
     offsets: np.ndarray | None
     slots: np.ndarray | None
+    _last: tuple = field(default=(None, None), init=False)
+
+    def dia(self, A):
+        """A's DIA operator: the one kept for A, else a new one.  None is
+        refilled, so no thread's product reads another matrix's values."""
+        ref, dia = self._last
+        if ref is None or ref() is not A:
+            data = np.zeros(len(self.offsets) * self.n)
+            data[self.slots] = A.values
+            dia = scipy.sparse.dia_matrix((data.reshape(-1, self.n), self.offsets),
+                                          shape=(self.n, self.n))
+            self._last = (weakref.ref(A, self._forget), dia)
+        return dia
+
+    def _forget(self, ref):
+        if self._last[0] is ref:
+            self._last = (None, None)
 
 
 def _pattern(n, ro, ci, va):
@@ -223,9 +225,9 @@ def _pattern(n, ro, ci, va):
 def _check_pattern(n, ro, ci, va):
     """Check the pattern ``(n, ro, ci)`` and lay it out.
 
-    The value checks on ``va`` that precede a pattern check in the order
-    of messages run before it, so a matrix with several faults reports the
-    same one whether or not its pattern was checked before.
+    The diagonal values ``va[diag]`` are checked with the diagonal's
+    presence, before the symmetry check, so a matrix with several faults
+    reports the same one whether or not its pattern was checked before.
     """
     if len(ro) != n + 1 or ro[0] != 0 or ro[-1] != len(ci):
         raise ContractViolation("inconsistent CSR arrays")
@@ -234,28 +236,26 @@ def _check_pattern(n, ro, ci, va):
     # scipy's C kernels index with these without bounds checks
     if len(ci) and (ci.min() < 0 or ci.max() >= n):
         raise ContractViolation("col_indices out of range")
-    if not np.all(np.isfinite(va)):
-        raise ContractViolation("matrix values must be finite")
-    # integer copies, as scipy casts index arrays of another type
-    row_nnz, cols = np.diff(ro.astype(np.intp)), ci.astype(np.intp)
+    row_nnz = np.diff(ro)
     rows = np.repeat(np.arange(n), row_nnz)
-    if np.any((cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1])):
+    if np.any((ci[1:] <= ci[:-1]) & (rows[1:] == rows[:-1])):
         raise ContractViolation("col_indices must be sorted within each row")
-    diag = np.flatnonzero(rows == cols)
+    diag = np.flatnonzero(rows == ci)
     if len(diag) != n or np.any(va[diag] <= 0.0):
         raise ContractViolation("all diagonal entries must be present and positive")
-    # the entries in column order are the transpose's in CSR order
-    perm = np.argsort(cols, kind="stable")
-    if not (np.array_equal(np.bincount(cols, minlength=n), row_nnz)
-            and np.array_equal(rows[perm], cols)):
+    # the entries in column order are the transpose's in CSR order; scipy's
+    # CSC conversion is a stable counting sort of the entry numbers by column
+    perm = scipy.sparse.csr_matrix((np.arange(len(ci)), ci, ro), shape=(n, n)).tocsc().data
+    if not (np.array_equal(np.bincount(ci, minlength=n), row_nnz)
+            and np.array_equal(rows[perm], ci)):
         raise ContractViolation("matrix is not symmetric (pattern or values)")
-    shifted = cols - rows + n  # offset j - i of each entry, plus n
+    shifted = ci - rows + n  # offset j - i of each entry, plus n
     present = np.bincount(shifted, minlength=2 * n + 1) > 0
     kept = np.flatnonzero(present) - n
     offsets = slots = None
     if len(kept) * n <= DIA_MAX_FILL * len(ci):
         # the running count of present offsets numbers each entry's diagonal
-        offsets, slots = kept, (np.cumsum(present) - 1)[shifted] * n + cols
+        offsets, slots = kept, (np.cumsum(present) - 1)[shifted] * n + ci
     ro, ci = ro.copy(), ci.copy()
     for a in (ro, ci, perm, diag, offsets, slots):
         if a is not None:
@@ -273,8 +273,7 @@ class TridiagSym:
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=np.float64)
         e = np.asarray(self.offdiag, dtype=np.float64)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
+        self.__dict__.update(diag=d, offdiag=e)
         if len(d) < 1 or len(e) != len(d) - 1:
             raise ContractViolation("need |offdiag| = |diag| - 1 with |diag| >= 1")
 

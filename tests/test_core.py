@@ -1,6 +1,10 @@
 """Dense/sparse kernel tests: CSR container, Cholesky, eigensolvers."""
+import copy
 import hashlib
+import pickle
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -27,6 +31,16 @@ def test_from_dense_round_trip():
     assert A.nnz == 7
     np.testing.assert_array_equal(A.to_dense(), dense)
     np.testing.assert_array_equal(A.diagonal(), [2.0, 2.0, 2.0])
+
+
+def test_matrix_pickles_and_copies_as_its_arrays(rng):
+    A, _ = next(generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1))
+    x = rng.standard_normal(A.n)
+    y = A @ x  # A's pattern now holds its DIA operator
+    for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
+        assert B.n == A.n and all(np.array_equal(getattr(B, name), getattr(A, name))
+                                  for name in ("row_offsets", "col_indices", "values"))
+        assert np.array_equal(B @ x, y)
 
 
 def test_rejects_nonsquare():
@@ -134,9 +148,9 @@ def test_banded_spmv_bit_identical_to_csr(grid, rng):
     spec = InclusionGridSpec(grid=grid, inclusion_layout=(tuple((1, 3) for _ in grid),),
                              rel_std=0.3, seed=3)
     for A, _ in generate_diffusion_sequence(spec, 2):
-        assert isinstance(core._dia_operator(A), scipy.sparse.dia_matrix)
         for x in (rng.standard_normal(A.n), rng.standard_normal(A.n) * 1e-300):
             assert np.array_equal(A @ x, csr_product(A, x))
+        assert isinstance(A._pattern._last[1], scipy.sparse.dia_matrix)
 
 
 def test_unbanded_matrix_keeps_csr_without_warning(rng):
@@ -147,7 +161,7 @@ def test_unbanded_matrix_keeps_csr_without_warning(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y = A @ x
-        assert core._dia_operator(A) is None
+        assert A._pattern.slots is None and A._pattern._last == (None, None)
     assert np.array_equal(y, csr_product(A, x))
 
 
@@ -174,10 +188,62 @@ def test_banded_kernel_holds_one_matrix_diagonals():
     finally:
         tracemalloc.stop()
     assert max(held) < 2 * diagonals  # one matrix's 5 diagonals of n at most
-    ref = weakref.ref(A)
+    pattern, ref, dia = A._pattern, weakref.ref(A), weakref.ref(A._pattern._last[1])
+    assert all(B._pattern is pattern for B in systems)
     del systems[:], A
-    assert ref() is None
-    assert core._dia_slot == (None, None)
+    # the pattern keeps no matrix alive, and drops the operator of a dead one
+    assert ref() is None and dia() is None
+    assert pattern._last == (None, None)
+
+
+def test_matrices_of_one_pattern_apply_their_own_values(rng):
+    sequence = generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 3)
+    (A1, _), (A2, _) = next(sequence), next(sequence)
+    x = rng.standard_normal(A1.n)
+    for A in (A1, A2, A1, A1, A2):
+        assert np.array_equal(A @ x, csr_product(A, x))
+    pattern = A1._pattern
+    del A, A1, A2  # the next matrix may take a freed address
+    A3, _ = next(sequence)
+    assert A3._pattern is pattern and pattern._last == (None, None)
+    assert np.array_equal(A3 @ x, csr_product(A3, x))
+
+
+def test_threads_apply_their_own_matrices_of_one_pattern(rng):
+    sequence = generate_diffusion_sequence(benchmark_spec(seed=0), 2)
+    matrices = [A for A, _ in sequence]
+    x = rng.standard_normal(matrices[0].n)
+    expected = [csr_product(A, x) for A in matrices]
+    wrong, start = [], threading.Barrier(2)
+
+    def apply(A, y):
+        start.wait(timeout=60)
+        for _ in range(500):
+            if not np.array_equal(A @ x, y):
+                wrong.append(A)
+
+    threads = [threading.Thread(target=apply, args=pair) for pair in zip(matrices, expected)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+
+
+def test_banded_matrix_makes_its_csr_only_for_a_block(rng):
+    A, _ = next(generate_diffusion_sequence(benchmark_spec(seed=0, grid=(16, 16)), 1))
+    A @ rng.standard_normal(A.n)
+    assert np.array_equal(A.diagonal(), csr_product(A, np.eye(A.n)).diagonal())
+    assert "_csr" not in vars(A)
+    X = rng.standard_normal((A.n, 3))
+    A @ X
+    csr = A._csr
+    assert np.array_equal(A @ X, csr_product(A, X)) and A._csr is csr
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +309,40 @@ def test_first_fault_reported_with_or_without_cached_pattern(cached, monkeypatch
         SparseSpdMatrix(4, ro, one_sided, negative_diagonal)
 
 
+@pytest.mark.parametrize("name, ro, ci", [
+    ("row_offsets", [0, 1.7, 2.0], [0, 1]),
+    ("col_indices", [0, 1, 2], [0, 1.9]),
+    ("row_offsets", [False, True, True], [0, 1]),
+    ("col_indices", [0, 1, 2], [False, True]),
+])
+def test_rejects_index_arrays_that_are_not_integers(name, ro, ci):
+    with pytest.raises(ContractViolation, match=name):
+        SparseSpdMatrix(2, np.array(ro), np.array(ci), np.array([1.0, 2.0]))
+
+
+def test_index_arrays_keep_int32_and_int64_and_widen_the_rest():
+    for dtype, stored in [(np.int32, np.int32), (np.int64, np.int64),
+                          (np.int8, np.int32), (np.uint64, np.int32)]:
+        ro, ci = np.arange(3, dtype=dtype), np.arange(2, dtype=dtype)
+        A = SparseSpdMatrix(2, ro, ci, np.array([1.0, 2.0]))
+        assert A.row_offsets.dtype == A.col_indices.dtype == stored
+        assert np.shares_memory(A.col_indices, ci) == (dtype == stored)
+    with pytest.raises(ContractViolation, match="bad n value 2.0"):
+        SparseSpdMatrix(2.0, ro, ci, np.array([1.0, 2.0]))
+
+
+def test_transpose_permutation_is_the_stable_column_sort(rng):
+    ro, ci, va = tridiagonal_pattern(5)
+    matrices = [SparseSpdMatrix(5, ro, ci, va), SparseSpdMatrix.from_dense(random_spd(20, rng))]
+    for grid in [(50,), (16, 12), (6, 5, 7)]:
+        spec = InclusionGridSpec(grid=grid, inclusion_layout=(tuple((1, 3) for _ in grid),))
+        matrices += [A for A, _ in generate_diffusion_sequence(spec, 1)]
+    S = scipy.sparse.random(60, 60, density=0.05, random_state=7, format="csr")
+    matrices.append(SparseSpdMatrix.from_scipy(S + S.T + scipy.sparse.identity(60) * 60))
+    for A in matrices:
+        assert np.array_equal(A._pattern.perm, np.argsort(A.col_indices, kind="stable"))
+
+
 def test_pattern_changed_in_place_is_checked_again(monkeypatch):
     ro, ci, va = tridiagonal_pattern(4)
     monkeypatch.setattr(core, "_pattern_slot", None)
@@ -277,16 +377,17 @@ def test_dia_form_bit_identical_to_reference(rng):
                           rel_std=0.3, seed=3), 2)) for grid in grids]
     S = scipy.sparse.random(40, 40, density=0.1, random_state=5, format="csr")
     unbanded = SparseSpdMatrix.from_scipy(S + S.T + scipy.sparse.identity(40) * 40)
-    # matrices of different patterns in turn: each SpMV finds another slot
+    # matrices of different patterns in turn: each SpMV makes its operator anew
     for A in [A for pair in zip(*sequences) for A, _ in pair] + [unbanded]:
-        dia, ref = core._banded(A), reference_banded(A)
+        ref = reference_banded(A)
         if ref is None:
-            assert dia is None and core._dia_operator(A) is None
+            assert A._pattern.slots is None
             continue
-        assert np.array_equal(dia.offsets, ref.offsets)
-        assert dia.data.dtype == ref.data.dtype and np.array_equal(dia.data, ref.data)
         x = rng.standard_normal(A.n)
         assert np.array_equal(A @ x, ref @ x)
+        dia = A._pattern.dia(A)
+        assert np.array_equal(dia.offsets, ref.offsets)
+        assert dia.data.dtype == ref.data.dtype and np.array_equal(dia.data, ref.data)
 
 
 # col_indices and values of benchmark_spec(seed=0)'s 40 matrices, in order
