@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,18 +142,21 @@ def problem_spec_from_dict(problem):
 
 def read_matrix_files(files):
     """The (A, b) pairs of a ``files`` problem; a file that cannot be read or
-    parsed raises a one-line ContractViolation naming it."""
-    def read(file):
+    parsed, a vector listed as a matrix or a matrix given as the right-hand
+    side raises a one-line ContractViolation naming the file."""
+    def read(file, kind):
         try:
-            return read_matrix_market(file)
+            value = read_matrix_market(file)
         except OSError as exc:
-            problem = exc.strerror
+            raise ContractViolation(f"cannot read {file}: {exc.strerror}") from exc
         except ValueError as exc:  # malformed content or an invalid matrix
-            problem = str(exc).splitlines()[0]
-        raise ContractViolation(f"cannot read {file}: {problem}")
+            raise ContractViolation(f"cannot read {file}: {str(exc).splitlines()[0]}") from exc
+        if (found := "vector" if isinstance(value, np.ndarray) else "matrix") != kind:
+            raise ContractViolation(f"{file} holds a {found}, not a {kind}")
+        return value
 
-    rhs = read(files.rhs)
-    return tuple((read(matrix), rhs) for matrix in files.matrices)
+    rhs = read(files.rhs, "vector")
+    return tuple((read(matrix, "matrix"), rhs) for matrix in files.matrices)
 
 
 def read_sequence(raw):
@@ -283,11 +285,13 @@ def _summaries(results):
             "preconditioner": res.preconditioner,
             "tol": res.tol,
             "systems": len(recs),
-            "avg_iterations": float(np.mean(iters)) if iters else math.nan,
-            "avg_n_c": float(np.mean(ncs)) if ncs else math.nan,
+            # a run with no records has null averages
+            "avg_iterations": float(np.mean(iters)) if iters else None,
+            "avg_n_c": float(np.mean(ncs)) if ncs else None,
             "max_n_c": int(max(ncs)) if ncs else 0,
-            "avg_solve_seconds": float(np.mean([r.solve_seconds for r in recs])) if recs else math.nan,
-            "avg_augmentation_seconds": float(np.mean([r.augmentation_seconds for r in recs])) if recs else math.nan,
+            "avg_solve_seconds": float(np.mean([r.solve_seconds for r in recs])) if recs else None,
+            "avg_augmentation_seconds": (float(np.mean([r.augmentation_seconds for r in recs]))
+                                         if recs else None),
             "all_converged": bool(all(r.converged for r in recs)) and not res.report.aborted,
         }
     return summary
@@ -301,7 +305,9 @@ def _write_outputs(results, out_dir):
     (out_dir / "runs.csv").write_text("\n".join(rows) + "\n")
 
     summary = _summaries(results)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a NaN raises instead of writing a file that parsers reject
+    (out_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     (out_dir / "events.jsonl").write_text("".join(
         json.dumps({"run": res.key, "event": kind, **fields}) + "\n"
@@ -380,12 +386,15 @@ def _trace_lines(artifact):
 
 
 def _summary_lines(artifact):
+    """One line per run; the null averages of a run with no records read n/a."""
     lines = [f"report summary ({len(artifact)} runs):"]
     for key in sorted(artifact):
         entry = artifact[key]
         if isinstance(entry, dict) and "avg_iterations" in entry:
-            lines.append(f"  {key}: avg_iters={entry['avg_iterations']:.2f} "
-                         f"avg_n_c={entry['avg_n_c']:.1f} max_n_c={entry['max_n_c']}")
+            iters, n_c = entry["avg_iterations"], entry["avg_n_c"]
+            lines.append(f"  {key}: avg_iters={'n/a' if iters is None else f'{iters:.2f}'} "
+                         f"avg_n_c={'n/a' if n_c is None else f'{n_c:.1f}'} "
+                         f"max_n_c={entry['max_n_c']}")
     return lines
 
 

@@ -72,7 +72,7 @@ def _field(name, value, convert, valid=lambda v: True):
     raise ContractViolation(f"bad {name} value {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSpdMatrix:
     """Symmetric positive definite operator in CSR form (full pattern stored).
 
@@ -263,7 +263,7 @@ def _check_pattern(n, ro, ci, va):
     return _Pattern(n, ro, ci, perm, diag, offsets, slots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagSym:
     """Symmetric tridiagonal matrix stored as diagonal/off-diagonal arrays."""
 
@@ -288,7 +288,7 @@ class TridiagSym:
         return TridiagSym(self.diag[:m].copy(), self.offdiag[:m - 1].copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigDecomposition:
     """Eigenvalues sorted descending with column-matched orthonormal vectors."""
 

@@ -187,101 +187,91 @@ def generate_diffusion_sequence(spec: InclusionGridSpec, count):
 
 
 class MatrixMarketError(ValueError):
-    """Malformed or unsupported Matrix Market content; carries a line number."""
+    """Malformed or unsupported Matrix Market content at line ``line_no``;
+    the caller names the file."""
 
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+    def __init__(self, line_no, message):
+        super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+# per format: the kind it takes, the message for another kind, the size-line field count
+_FORMATS = {"array": ("general", "array format supported for vectors only", 2),
+            "coordinate": ("symmetric", "matrix kind must be symmetric, got {!r}", 3)}
+
+
+def _numbers(line_no, message, types, fields):
+    """``fields`` converted by ``types``; a failed conversion raises ``message`` at ``line_no``."""
+    try:
+        return [convert(field) for convert, field in zip(types, fields)]
+    except ValueError:
+        raise MatrixMarketError(line_no, message) from None
 
 
 def read_matrix_market(path):
     """Read a symmetric sparse matrix (coordinate) or a vector (array).
 
     Symmetric storage is expanded to the full pattern; matrices declared
-    ``general`` are rejected.
+    ``general`` are rejected.  A fault raises a MatrixMarketError naming its
+    line, or the last line for a missing size line or a wrong entry count.
     """
-    path = Path(path)
-    with path.open() as fh:
+    with Path(path).open() as fh:
         lines = fh.readlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise MatrixMarketError(path, 1, "missing MatrixMarket header")
+        raise MatrixMarketError(1, "missing MatrixMarket header")
     header = lines[0].split()
     if len(header) != 5 or header[1] != "matrix":
-        raise MatrixMarketError(path, 1, "malformed header")
+        raise MatrixMarketError(1, "malformed header")
     _, _, fmt, dtype, kind = header
     if dtype != "real":
-        raise MatrixMarketError(path, 1, f"unsupported data type {dtype!r}")
-    body_start = 1
-    while body_start < len(lines) and lines[body_start].lstrip().startswith("%"):
-        body_start += 1
-    if body_start >= len(lines):
-        raise MatrixMarketError(path, len(lines), "missing size line")
-    size_line_no = body_start + 1
-    size_fields = lines[body_start].split()
+        raise MatrixMarketError(1, f"unsupported data type {dtype!r}")
+    # the size line is the first line after the header that is not a comment
+    size_no = next((no for no, line in enumerate(lines[1:], 2)
+                    if not line.lstrip().startswith("%")), None)
+    if size_no is None:
+        raise MatrixMarketError(len(lines), "missing size line")
+    if fmt not in _FORMATS:
+        raise MatrixMarketError(1, f"unsupported format {fmt!r}")
+    expected_kind, wrong_kind, need = _FORMATS[fmt]
+    if kind != expected_kind:
+        raise MatrixMarketError(1, wrong_kind.format(kind))
+    sizes = lines[size_no - 1].split()
+    if len(sizes) != need:
+        raise MatrixMarketError(size_no, f"{fmt} size line needs {need} fields")
+    nrow, ncol, *nnz = _numbers(size_no, f"invalid {fmt} size line", (int,) * need, sizes)
+    body = [(no, line.split()) for no, line in enumerate(lines[size_no:], size_no + 1)
+            if line.strip()]
 
     if fmt == "array":
-        if kind != "general":
-            raise MatrixMarketError(path, 1, "array format supported for vectors only")
-        if len(size_fields) != 2:
-            raise MatrixMarketError(path, size_line_no, "array size line needs 2 fields")
-        try:
-            nrow, ncol = int(size_fields[0]), int(size_fields[1])
-        except ValueError:
-            raise MatrixMarketError(path, size_line_no, "invalid array size line") from None
         if ncol != 1:
-            raise MatrixMarketError(path, size_line_no, "only single-column vectors supported")
-        entries = []
-        for off, line in enumerate(lines[body_start + 1:], start=size_line_no + 1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(float(line.split()[0]))
-            except ValueError:
-                raise MatrixMarketError(path, off, "invalid numeric entry") from None
+            raise MatrixMarketError(size_no, "only single-column vectors supported")
+        entries = [_numbers(no, "invalid numeric entry", (float,), f)[0] for no, f in body]
         if len(entries) != nrow:
-            raise MatrixMarketError(path, len(lines), f"expected {nrow} entries, got {len(entries)}")
+            raise MatrixMarketError(len(lines), f"expected {nrow} entries, got {len(entries)}")
         return np.asarray(entries)
 
-    if fmt != "coordinate":
-        raise MatrixMarketError(path, 1, f"unsupported format {fmt!r}")
-    if kind != "symmetric":
-        raise MatrixMarketError(path, 1, f"matrix kind must be symmetric, got {kind!r}")
-    if len(size_fields) != 3:
-        raise MatrixMarketError(path, size_line_no, "coordinate size line needs 3 fields")
-    try:
-        nrow, ncol, nnz = (int(v) for v in size_fields)
-    except ValueError:
-        raise MatrixMarketError(path, size_line_no, "invalid coordinate size line") from None
     if nrow != ncol:
-        raise MatrixMarketError(path, size_line_no, "matrix must be square")
-    rows, cols, vals = [], [], []
-    for off, line in enumerate(lines[body_start + 1:], start=size_line_no + 1):
-        if not line.strip():
-            continue
-        fields = line.split()
+        raise MatrixMarketError(size_no, "matrix must be square")
+    pairs, vals = [], []
+    for no, fields in body:
         if len(fields) != 3:
-            raise MatrixMarketError(path, off, "coordinate entry needs 3 fields")
-        try:
-            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError:
-            raise MatrixMarketError(path, off, "invalid coordinate entry") from None
-        if not (1 <= i <= nrow and 1 <= j <= ncol):
-            raise MatrixMarketError(path, off, "index out of range")
+            raise MatrixMarketError(no, "coordinate entry needs 3 fields")
+        i, j, v = _numbers(no, "invalid coordinate entry", (int, int, float), fields)
+        if not 1 <= min(i, j) <= max(i, j) <= nrow:
+            raise MatrixMarketError(no, "index out of range")
         if j > i:
-            raise MatrixMarketError(path, off, "symmetric storage requires lower triangle")
+            raise MatrixMarketError(no, "symmetric storage requires lower triangle")
         if i == j and v <= 0.0:
-            raise MatrixMarketError(path, off, "nonpositive diagonal entry")
-        rows.append(i - 1)
-        cols.append(j - 1)
+            raise MatrixMarketError(no, "nonpositive diagonal entry")
+        pairs.append((i - 1, j - 1))
         vals.append(v)
-        if i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            vals.append(v)
-    if len([1 for r, c in zip(rows, cols) if r >= c]) != nnz:
-        raise MatrixMarketError(path, len(lines), f"expected {nnz} stored entries")
-    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nrow, nrow))
-    return SparseSpdMatrix.from_scipy(coo)
+    if len(body) != nnz[0]:
+        raise MatrixMarketError(len(lines), f"expected {nnz[0]} stored entries")
+    # the strict upper triangle mirrors the stored one; explicit zeros are kept
+    (rows, cols), vals = np.array(pairs, dtype=np.int64).reshape(-1, 2).T, np.array(vals)
+    off = rows != cols
+    full = (np.r_[vals, vals[off]], (np.r_[rows, cols[off]], np.r_[cols, rows[off]]))
+    return SparseSpdMatrix.from_scipy(scipy.sparse.coo_matrix(full, shape=(nrow, nrow)))
 
 
 def write_matrix_market(path, obj):

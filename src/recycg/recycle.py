@@ -107,7 +107,7 @@ class SystemRecord:
     converged: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceReport:
     """Per-system statistics for a whole multiresolution run.
 

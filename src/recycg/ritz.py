@@ -29,7 +29,7 @@ DEGENERATE_GAP = 1e-12
 CLUSTER_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LanczosView:
     """Lanczos tridiagonal and basis recovered from a CG trace.
 
@@ -48,7 +48,7 @@ class LanczosView:
         return self.tridiag.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RitzSpectrum:
     """Ritz values (descending), the boolean mask a selection flagged them
     with, and one Ritz vector per flagged value only."""

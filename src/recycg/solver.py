@@ -37,7 +37,7 @@ COARSE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaf
                      else os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preconditioner:
     """Diagonal SPD preconditioner stored as inverse entries (None: identity)."""
 
@@ -66,7 +66,7 @@ class Preconditioner:
         return self.inv_diag * r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeflationOperator:
     """Projector P = I - C (C^T A C)^{-1} C^T A from C, A and the coarse factor.
 
@@ -185,7 +185,7 @@ class SolveConfig:
         self.max_iters = _field("max_iters", self.max_iters, _integer, lambda m: m >= 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveTrace:
     """Per-iteration record of one APCG run.
 

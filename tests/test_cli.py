@@ -478,8 +478,10 @@ def test_run_rejects_an_empty_matrices_list(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("rhs, matrix, message", [
     ("nob.mtx", "A.mtx", "cannot read nob.mtx: No such file or directory"),
-    ("b.mtx", "bad.mtx", "cannot read bad.mtx: bad.mtx:1: missing MatrixMarket header"),
-], ids=["missing", "malformed"])
+    ("b.mtx", "bad.mtx", "cannot read bad.mtx: line 1: missing MatrixMarket header"),
+    ("b.mtx", "b.mtx", "b.mtx holds a vector, not a matrix"),
+    ("A.mtx", "A.mtx", "A.mtx holds a matrix, not a vector"),
+], ids=["missing", "malformed", "vector-as-matrix", "matrix-as-rhs"])
 def test_run_unreadable_files_exit_2(tmp_path, capsys, monkeypatch, rhs, matrix, message):
     import recycg.cli
     monkeypatch.chdir(tmp_path)
@@ -493,8 +495,7 @@ def test_run_unreadable_files_exit_2(tmp_path, capsys, monkeypatch, rhs, matrix,
                                     f"  matrices: [{matrix}]\nstrategies: [none]\n"
                                     "tolerances: [1.0e-6]\n")
     assert main(["run", "--config", str(config), "--out", "out"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {config}: ") and message in err and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
     assert solved == [] and not (tmp_path / "out").exists()
 
 
@@ -630,7 +631,19 @@ def test_run_writes_events(tmp_path, monkeypatch):
         {"run": "trks|jacobi|1e-06", "event": "solve_failed", "system": 1,
          "message": "residual norm is not finite"},
     ]
-    assert set(json.loads((out / "summary.json").read_text())) == {"trks|jacobi|1e-06"}
+    summary = (out / "summary.json").read_text()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # no record: the averages are null, not NaN, and inspect prints them
+    assert json.loads(summary, parse_constant=refuse) == {"trks|jacobi|1e-06": {
+        "strategy": "trks", "preconditioner": "jacobi", "tol": 1e-6, "systems": 0,
+        "avg_iterations": None, "avg_n_c": None, "max_n_c": 0, "avg_solve_seconds": None,
+        "avg_augmentation_seconds": None, "all_converged": False}}
+    stream = io.StringIO()
+    assert cli_inspect(out / "summary.json", stream) == 0
+    assert "trks|jacobi|1e-06: avg_iters=n/a avg_n_c=n/a max_n_c=0" in stream.getvalue()
 
 
 def test_main_bad_config_exit_code(tmp_path):

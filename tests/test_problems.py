@@ -406,7 +406,7 @@ def test_rejects_non_integer_coordinate_size_line(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
                     "% a comment line\n"
                     "2 two 2\n1 1 1.0\n2 2 1.0\n")
-    with pytest.raises(MatrixMarketError, match=r"size\.mtx:3: ") as exc_info:
+    with pytest.raises(MatrixMarketError, match=r"^line 3: ") as exc_info:
         read_matrix_market(path)
     assert exc_info.value.line_no == 3
 
@@ -415,6 +415,70 @@ def test_rejects_non_integer_array_size_line(tmp_path):
     path = tmp_path / "size.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n"
                     "2 x\n1.0\n2.0\n")
-    with pytest.raises(MatrixMarketError, match=r"size\.mtx:2: ") as exc_info:
+    with pytest.raises(MatrixMarketError, match=r"^line 2: ") as exc_info:
         read_matrix_market(path)
     assert exc_info.value.line_no == 2
+
+
+COORDINATE = "%%MatrixMarket matrix coordinate real symmetric\n"
+ARRAY = "%%MatrixMarket matrix array real general\n"
+
+# one file per message of the reader, then files with several faults, whose
+# first fault in the reader's order of checks is the one reported
+MALFORMED_FILES = [
+    ("", 1, "missing MatrixMarket header"),
+    ("2 2 2\n1 1 1.0\n2 2 1.0\n", 1, "missing MatrixMarket header"),
+    ("%%MatrixMarket matrix coordinate real\n1 1 1\n1 1 1.0\n", 1, "malformed header"),
+    ("%%MatrixMarket vector coordinate real symmetric\n1 1 1\n1 1 1.0\n", 1,
+     "malformed header"),
+    ("%%MatrixMarket matrix coordinate complex symmetric\n1 1 1\n1 1 1.0 0.0\n", 1,
+     "unsupported data type 'complex'"),
+    (COORDINATE + "% only a comment\n", 2, "missing size line"),
+    ("%%MatrixMarket matrix array real symmetric\n2 1\n1.0\n2.0\n", 1,
+     "array format supported for vectors only"),
+    (ARRAY + "2\n1.0\n2.0\n", 2, "array size line needs 2 fields"),
+    (ARRAY + "% a comment\n2 x\n1.0\n2.0\n", 3, "invalid array size line"),
+    (ARRAY + "2 2\n1.0\n2.0\n3.0\n4.0\n", 2, "only single-column vectors supported"),
+    (ARRAY + "2 1\n1.0\nabc\n", 4, "invalid numeric entry"),
+    (ARRAY + "3 1\n1.0\n\n2.0\n", 5, "expected 3 entries, got 2"),
+    ("%%MatrixMarket matrix dense real symmetric\n1 1 1\n1 1 1.0\n", 1,
+     "unsupported format 'dense'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n", 1,
+     "matrix kind must be symmetric, got 'general'"),
+    (COORDINATE + "2 2\n1 1 1.0\n", 2, "coordinate size line needs 3 fields"),
+    (COORDINATE + "% a comment\n2 two 2\n1 1 1.0\n2 2 1.0\n", 3, "invalid coordinate size line"),
+    (COORDINATE + "2 3 1\n1 1 1.0\n", 2, "matrix must be square"),
+    (COORDINATE + "2 2 2\n1 1\n2 2 1.0\n", 3, "coordinate entry needs 3 fields"),
+    (COORDINATE + "2 2 2\n1 1 1.0\n2 x 1.0\n", 4, "invalid coordinate entry"),
+    (COORDINATE + "2 2 1\n3 1 1.0\n", 3, "index out of range"),
+    (COORDINATE + "2 2 2\n1 1 1.0\n1 2 0.5\n", 4, "symmetric storage requires lower triangle"),
+    (COORDINATE + "1 1 1\n1 1 -2.0\n", 3, "nonpositive diagonal entry"),
+    (COORDINATE + "2 2 3\n1 1 1.0\n\n2 2 1.0\n", 5, "expected 3 stored entries"),
+    # several faults
+    ("%%MatrixMarket matrix array real symmetric\n% no size line\n", 2, "missing size line"),
+    ("%%MatrixMarket matrix dense real symmetric\n", 1, "missing size line"),
+    ("%%MatrixMarket matrix dense complex symmetric\n1 1 1\n", 1,
+     "unsupported data type 'complex'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2\n", 1,
+     "matrix kind must be symmetric, got 'general'"),
+    (ARRAY + "2 2 2\n1.0\n", 2, "array size line needs 2 fields"),
+    (ARRAY + "3 2\nabc\n", 2, "only single-column vectors supported"),
+    (ARRAY + "3 1\nabc\n", 3, "invalid numeric entry"),
+    (COORDINATE + "2 3 x\n", 2, "invalid coordinate size line"),
+    (COORDINATE + "2 2 1\n1 3 1.0\n", 3, "index out of range"),
+    (COORDINATE + "2 2 1\n1 x\n", 3, "coordinate entry needs 3 fields"),
+    (COORDINATE + "2 2 1\n1 2 -1.0\n", 3, "symmetric storage requires lower triangle"),
+    (COORDINATE + "2 2 1\n2 2 -1.0\n3 1 1.0\n", 3, "nonpositive diagonal entry"),
+    (COORDINATE + "2 2 5\n1 1 1.0\n2 1 x\n", 4, "invalid coordinate entry"),
+]
+
+
+@pytest.mark.parametrize("text, line_no, message", MALFORMED_FILES,
+                         ids=[f"{k}-{m.split()[0]}" for k, (_, _, m) in enumerate(MALFORMED_FILES)])
+def test_every_reader_message_names_its_line(tmp_path, text, line_no, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError) as exc_info:
+        read_matrix_market(path)
+    assert exc_info.value.line_no == line_no
+    assert str(exc_info.value).endswith(message)

@@ -162,6 +162,33 @@ def test_guarded_deflation_all_columns_dependent(rng):
     np.testing.assert_array_equal(D.project(x), x)
 
 
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    """A record that holds an array equals only itself, so ``==``, ``in`` and
+    ``hash`` work on it; a twin built from equal inputs is another record."""
+    A, b = next(generate_diffusion_sequence(benchmark_spec(seed=0, grid=(6, 6)), 1))
+
+    def records():
+        B = SparseSpdMatrix(A.n, A.row_offsets, A.col_indices, A.values.copy())
+        D = build_deflation(B, np.zeros((B.n, 0)))
+        _, trace = apcg_solve(B, Preconditioner.jacobi(B), D, b,
+                              SolveConfig(tol=1e-8, store="directions"))
+        view = lanczos_from_trace(trace)
+        report = run_sequence([(B, b)], Preconditioner.jacobi, RecycleStrategy(recycle.TRKS),
+                              SolveConfig(tol=1e-8))
+        return [B, view.tridiag, tridiag_eig(view.tridiag), view,
+                ritz_pairs(view, lambda values: values > 0), Preconditioner.jacobi(B), D,
+                trace, report]
+
+    first, second = records(), records()
+    assert [type(x).__name__ for x in first] == [
+        "SparseSpdMatrix", "TridiagSym", "EigDecomposition", "LanczosView", "RitzSpectrum",
+        "Preconditioner", "DeflationOperator", "SolveTrace", "SequenceReport"]
+    for x, twin in zip(first, second):
+        assert x == x and x != twin
+        assert x in [twin, x] and x not in [twin]
+        assert hash(x) == hash(x) and len({x, twin}) == 2
+
+
 # ---------------------------------------------------------------------------
 # basis updates
 
